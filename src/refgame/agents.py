@@ -4,13 +4,15 @@ The sender maps image features to a token sequence; the receiver maps a
 token sequence to a vector used to score candidate images; the language
 model assigns probabilities to token sequences for grounding.
 
-Two API levels coexist.  The batched rollout core (generate_batch,
-read_batch, lm_logp_rows) drives training on (B, .) matrices with
-post-termination positions masked out of every sum.  The per-instance
-operations (sender_generate, receiver_read, lm_log_prob) are thin
-vector-level counterparts used by evaluation and tests; batched and
-per-instance paths are cross-checked against each other in the test
-suite.
+Every computation runs on (B, .) matrices (generate_batch, read_batch,
+lm_logp_rows, lm_nll_batch) with post-termination positions masked out
+of every sum; a single instance is a one-row batch.  The one
+single-message path is receiver_read, which omission scoring calls once
+per message and once per deletion.  It stays a plain one-row read for
+two reasons: read_batch adds a masked state carry at every step, and a
+row of a batched matrix product can differ in the last bit from the
+one-row product, which the exact-equality omission checks against a
+one-row NumPy replay would catch.
 """
 
 from __future__ import annotations
@@ -58,25 +60,6 @@ class Vocabulary:
     def n_embed(self):
         """Embedding table rows: outcomes + START."""
         return self.size + 2
-
-
-@dataclass
-class Message:
-    """One generated sequence: discrete tokens plus whatever per-step
-    tensors the generation mode produced."""
-
-    tokens: list[int]
-    log_probs: list[float]
-    relaxed: list | None = None
-    onehots: list | None = None
-    noise: np.ndarray | None = None
-
-    @property
-    def total_log_prob(self):
-        return float(sum(self.log_probs))
-
-    def __len__(self):
-        return len(self.tokens)
 
 
 class Sender:
@@ -328,60 +311,19 @@ def _receiver_input(receiver, rollout, t, mode):
 
 
 # ---------------------------------------------------------------------------
-# per-instance operations
+# single-message read
 
 
-def sender_generate(sender, features, mode, rng=None, vocab=None, noise=None):
-    """Generate one message from a single feature vector."""
-    vocab = vocab or sender.vocab
-    feats = np.asarray(features, dtype=np.float64).reshape(1, -1)
-    if noise is not None:
-        noise = np.asarray(noise, dtype=np.float64).reshape(
-            vocab.max_len, 1, vocab.n_outcomes)
-    roll = generate_batch(sender, feats, mode, noise=noise, rng=rng)
-    n = int(roll.lengths[0])
-    tokens = [int(k) for k in roll.tokens[:n, 0]]
-    log_probs = [float(roll.step_logp_rows[t].data[0, tokens[t]]) for t in range(n)]
-    relaxed = None
-    onehots = None
-    if roll.step_relaxed is not None:
-        relaxed = [nn._first_row(w) for w in roll.step_relaxed[:n]]
-    if roll.step_onehots is not None:
-        onehots = [nn._first_row(w) for w in roll.step_onehots[:n]]
-    return Message(tokens=tokens, log_probs=log_probs, relaxed=relaxed,
-                   onehots=onehots, noise=roll.noise)
-
-
-def receiver_read(receiver, message, mode="discrete"):
-    """Interpret one message; returns the (D,) vector g(h_last)."""
-    if mode not in ("discrete", "relaxed"):
-        raise ValueError(f"receiver_read: unknown mode {mode!r}")
-    tokens = message.tokens if isinstance(message, Message) else list(message)
+def receiver_read(receiver, tokens):
+    """Interpret one discrete message; returns the (1, D) row g(h_last)."""
     if len(tokens) == 0:
         raise ValueError("receiver_read: empty message")
-    soft_steps = None
-    if mode == "relaxed" and isinstance(message, Message):
-        soft_steps = message.onehots if message.onehots is not None else message.relaxed
     hs = receiver.cell.hidden_size
     h = ag.tensor(np.zeros((1, hs)))
     c = ag.tensor(np.zeros((1, hs)))
-    for t, tok in enumerate(tokens):
-        if soft_steps is not None:
-            x = receiver.embed.soft(nn._as_row(soft_steps[t]))
-        else:
-            x = receiver.embed.hard([int(tok)])
-        h, c = receiver.cell.step(x, h, c)
-    return nn._first_row(receiver.g_map(h))
-
-
-def score_images(g_vec, candidates):
-    """scores[k] = f(candidate_k) . g_vec, as a (K+1,) tensor."""
-    cand = np.asarray(candidates, dtype=np.float64)
-    if cand.ndim != 2:
-        raise ag.ShapeError(f"score_images: candidates must be 2D, got {cand.shape}")
-    row = nn._as_row(g_vec if isinstance(g_vec, ag.Tensor) else ag.tensor(g_vec))
-    scores = ag.matmul(row, ag.tensor(cand.T.copy()))
-    return nn._first_row(scores)
+    for tok in tokens:
+        h, c = receiver.cell.step(receiver.embed.hard([int(tok)]), h, c)
+    return receiver.g_map(h)
 
 
 # ---------------------------------------------------------------------------
@@ -422,20 +364,6 @@ def lm_logp_rows(lm, token_reps, batch_size=None):
             else:
                 x = lm.embed.hard(np.asarray(rep, dtype=int))
     return rows
-
-
-def lm_log_prob(lm, message):
-    """Sum of log p(token_t | tokens_<t) over the whole message, EOS
-    included; returns a scalar tensor."""
-    tokens = message.tokens if isinstance(message, Message) else [int(t) for t in message]
-    if not tokens:
-        raise ValueError("lm_log_prob: empty message")
-    _check_lm_tokens(lm, tokens)
-    rows = lm_logp_rows(lm, [np.array([tok]) for tok in tokens])
-    total = ag.tensor(np.zeros((1, 1)))
-    for t, tok in enumerate(tokens):
-        total = ag.add(total, ag.pick_per_row(rows[t], [tok]))
-    return nn._first_row(total)
 
 
 def lm_nll_batch(lm, tokens, mask):
@@ -495,20 +423,3 @@ def lm_perplexity(lm, corpus):
     nll, count = lm_nll_batch(lm, tokens, mask)
     return float(np.exp(nll.item() / count))
 
-
-def lm_sample(lm, rng, max_len=None):
-    """Draw one sequence from the model via per-step Gumbel-max."""
-    limit = max_len or lm.vocab.max_len
-    h = ag.tensor(np.zeros((1, lm.cell.hidden_size)))
-    c = ag.tensor(np.zeros((1, lm.cell.hidden_size)))
-    x = lm.embed.hard([lm.vocab.start])
-    out = []
-    for _ in range(limit):
-        h, c = lm.cell.step(x, h, c)
-        logp = ag.log_softmax_rows(lm.proj(h)).data[0]
-        tok = int(np.argmax(logp + smp.gumbel_noise(rng, logp.shape)))
-        out.append(tok)
-        if tok == lm.vocab.eos:
-            break
-        x = lm.embed.hard([tok])
-    return out

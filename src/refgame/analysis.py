@@ -116,17 +116,17 @@ def message_tuples(roll):
 
 def target_probability(receiver, tokens, instance):
     """Softmax probability of the target image given a token sequence."""
-    g_vec = agents.receiver_read(receiver, list(tokens), "discrete")
-    scores = agents.score_images(g_vec, instance.candidates)
-    probs = game.image_probabilities(scores.data.reshape(1, -1))[0]
+    g = agents.receiver_read(receiver, list(tokens))
+    cand = np.asarray(instance.candidates, dtype=np.float64)
+    scores = ag.matmul(g, ag.tensor(cand.T.copy()))
+    probs = game.image_probabilities(scores.data)[0]
     return float(probs[instance.target_index])
 
 
 def omission_score(receiver, message, instance):
     """max over non-EOS positions i of p(target | m) - p(target | m
     without token i); deleting the only content token leaves a lone EOS."""
-    tokens = [int(t) for t in (message.tokens if isinstance(message, agents.Message)
-                               else message)]
+    tokens = [int(t) for t in message]
     eos = receiver.vocab.eos
     content = [i for i, t in enumerate(tokens) if t != eos]
     if not content:

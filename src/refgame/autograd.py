@@ -7,7 +7,7 @@ this module.  Design rules:
   replays the record in exact reverse order.
 * no silent broadcasting.  Elementwise ops require identical shapes; the
   single documented exception is a size-1 ("scalar") operand for
-  ``add``/``sub``/``mul``/``div``.  Row-wise combinations are explicit
+  ``add``/``sub``/``mul``.  Row-wise combinations are explicit
   ops (``affine``, ``mul_rows``, ``repeat_cols``).
 * float64 throughout, so finite-difference checks can run at 1e-5.
 
@@ -74,9 +74,6 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, _lift(other))
-
-    def __truediv__(self, other):
-        return div(self, _lift(other))
 
     def __neg__(self):
         return scale(self, -1.0)
@@ -212,22 +209,6 @@ def mul(a, b):
     return _make("mul", out_data, (a, b), bwd)
 
 
-def div(a, b):
-    if a.shape != b.shape and not (_is_scalar(a) or _is_scalar(b)):
-        raise _shape_err("div", a.shape, b.shape)
-    out_data = a.data / b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            ga = g / b.data
-            a.accumulate(ga.sum().reshape(a.shape) if _is_scalar(a) and ga.shape != a.shape else ga)
-        if b.requires_grad:
-            gb = -g * a.data / (b.data * b.data)
-            b.accumulate(gb.sum().reshape(b.shape) if _is_scalar(b) and gb.shape != b.shape else gb)
-
-    return _make("div", out_data, (a, b), bwd)
-
-
 def scale(x, c):
     """Multiply by a python constant (not a graph input)."""
     c = float(c)
@@ -289,29 +270,6 @@ def softplus(x):
     return _make("softplus", out_data, (x,), bwd)
 
 
-def exp(x):
-    out_data = np.exp(x.data)
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate(g * out_data)
-
-    return _make("exp", out_data, (x,), bwd)
-
-
-def log(x):
-    if np.any(x.data <= 0):
-        bad = float(np.min(x.data))
-        raise ValueError(f"log: non-positive input (min value {bad})")
-    out_data = np.log(x.data)
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate(g / x.data)
-
-    return _make("log", out_data, (x,), bwd)
-
-
 def relu(x):
     # Hinge-style rectifier; subgradient 0 at the kink.
     out_data = np.maximum(x.data, 0.0)
@@ -324,50 +282,42 @@ def relu(x):
 
 
 # ---------------------------------------------------------------------------
-# row-wise ops on 2D arrays (a 1D vector is accepted as a single row)
+# row-wise ops on 2D arrays
 
 
 def _rows_view(x, op):
-    if x.data.ndim == 1:
-        return x.data.reshape(1, -1), True
-    if x.data.ndim == 2:
-        return x.data, False
-    raise _shape_err(op, x.shape)
+    if x.data.ndim != 2:
+        raise _shape_err(op, x.shape)
+    return x.data
 
 
 def softmax_rows(x):
     """Row-wise softmax; rows are positive and sum to 1."""
-    xd, was_1d = _rows_view(x, "softmax_rows")
+    xd = _rows_view(x, "softmax_rows")
     z = xd - xd.max(axis=1, keepdims=True)
     e = np.exp(z)
-    s = e / e.sum(axis=1, keepdims=True)
-    out_data = s[0] if was_1d else s
+    out_data = e / e.sum(axis=1, keepdims=True)
 
     def bwd(g):
         if x.requires_grad:
-            g2 = g.reshape(1, -1) if was_1d else g
-            inner = (g2 * s).sum(axis=1, keepdims=True)
-            gx = s * (g2 - inner)
-            x.accumulate(gx[0] if was_1d else gx)
+            inner = (g * out_data).sum(axis=1, keepdims=True)
+            x.accumulate(out_data * (g - inner))
 
     return _make("softmax_rows", out_data, (x,), bwd)
 
 
 def log_softmax_rows(x):
     """Row-wise log-softmax (stable); exp of the output matches softmax_rows."""
-    xd, was_1d = _rows_view(x, "log_softmax_rows")
+    xd = _rows_view(x, "log_softmax_rows")
     m = xd.max(axis=1, keepdims=True)
     z = xd - m
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    out2 = z - lse
-    out_data = out2[0] if was_1d else out2
-    soft = np.exp(out2)
+    out_data = z - lse
+    soft = np.exp(out_data)
 
     def bwd(g):
         if x.requires_grad:
-            g2 = g.reshape(1, -1) if was_1d else g
-            gx = g2 - soft * g2.sum(axis=1, keepdims=True)
-            x.accumulate(gx[0] if was_1d else gx)
+            x.accumulate(g - soft * g.sum(axis=1, keepdims=True))
 
     return _make("log_softmax_rows", out_data, (x,), bwd)
 
@@ -403,21 +353,6 @@ def affine(x, w, b):
             b.accumulate(g.sum(axis=0))
 
     return _make("affine", out_data, (x, w, b), bwd)
-
-
-def dot(a, b):
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.shape != b.shape:
-        raise _shape_err("dot", a.shape, b.shape)
-    out_data = np.array([a.data @ b.data])
-
-    def bwd(g):
-        s = g[0]
-        if a.requires_grad:
-            a.accumulate(s * b.data)
-        if b.requires_grad:
-            b.accumulate(s * a.data)
-
-    return _make("dot", out_data, (a, b), bwd)
 
 
 def mul_rows(x, col):
@@ -569,44 +504,26 @@ def sum_rows(x):
     return _make("sum_rows", out_data, (x,), bwd)
 
 
-def max_all(x):
-    """Maximum entry; subgradient routed to the first (lowest-index) maximum."""
-    flat = x.data.reshape(-1)
-    idx = int(np.argmax(flat))
-    out_data = np.array([flat[idx]])
-
-    def bwd(g):
-        if x.requires_grad:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad.reshape(-1)[idx] += g[0]
-
-    return _make("max_all", out_data, (x,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # straight-through discretization
 
 
 def straight_through(relaxed, _tol=1e-9):
-    """Forward: exact one-hot at the argmax (ties to the lowest index).
+    """Forward: exact one-hot at each row's argmax (ties to the lowest
+    index) of a (B, V) matrix of probability rows.
 
     Backward: identity, i.e. the upstream gradient is passed to the
-    relaxed probabilities unchanged.  Accepts a probability vector or a
-    matrix of probability rows.
+    relaxed probabilities unchanged.
     """
     d = relaxed.data
     if d.size == 0:
         raise ShapeError("straight_through: empty input")
-    was_1d = d.ndim == 1
-    d2 = d.reshape(1, -1) if was_1d else d
-    if d2.ndim != 2:
+    if d.ndim != 2:
         raise _shape_err("straight_through", relaxed.shape)
-    if np.any(d2 < -_tol) or np.any(np.abs(d2.sum(axis=1) - 1.0) > _tol):
+    if np.any(d < -_tol) or np.any(np.abs(d.sum(axis=1) - 1.0) > _tol):
         raise ValueError("straight_through: input rows are not probability vectors")
-    hard = np.zeros_like(d2)
-    hard[np.arange(d2.shape[0]), np.argmax(d2, axis=1)] = 1.0
-    out_data = hard[0] if was_1d else hard
+    out_data = np.zeros_like(d)
+    out_data[np.arange(d.shape[0]), np.argmax(d, axis=1)] = 1.0
 
     def bwd(g):
         if relaxed.requires_grad:
@@ -615,27 +532,23 @@ def straight_through(relaxed, _tol=1e-9):
     return _make("straight_through", out_data, (relaxed,), bwd)
 
 
-# Registry used by the gradient-check harness and the kind-based dispatcher.
+# Registry of differentiable ops; the gradient-check harness covers each.
 # straight_through is deliberately absent: its backward is an identity by
 # definition, not the derivative of the forward.
 OPS = {
     "add": add,
     "sub": sub,
     "mul": mul,
-    "div": div,
     "scale": scale,
     "add_const": add_const,
     "sigmoid": sigmoid,
     "tanh": tanh,
     "softplus": softplus,
-    "exp": exp,
-    "log": log,
     "relu_hinge": relu,
     "softmax_rows": softmax_rows,
     "log_softmax_rows": log_softmax_rows,
     "matmul": matmul,
     "affine": affine,
-    "dot": dot,
     "mul_rows": mul_rows,
     "repeat_cols": repeat_cols,
     "concat": concat_cols,
@@ -646,14 +559,5 @@ OPS = {
     "sum": sum_all,
     "mean": mean_all,
     "sum_rows": sum_rows,
-    "max": max_all,
 }
 
-
-def forward_op(kind, *inputs, **kwargs):
-    """Dispatch an op by kind name (see OPS for the registry)."""
-    try:
-        fn = OPS[kind]
-    except KeyError:
-        raise ValueError(f"forward_op: unknown kind {kind!r}") from None
-    return fn(*inputs, **kwargs)

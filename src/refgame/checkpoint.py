@@ -62,48 +62,78 @@ def save_checkpoint(path, cfg, scalars, arrays):
     os.replace(tmp, path)
 
 
-def load_checkpoint(path):
-    """Returns (RunConfig, scalar dict, array dict); rejects unknown
-    format versions."""
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or lines[0] != VERSION_LINE:
-        head = lines[0] if lines else "<empty>"
+def _read_config(path, lines):
+    """Consume the version line and the [config] block from an iterator
+    of lines, up to and including the [state] line; returns the config."""
+    head = next(lines, "<empty>")
+    if head != VERSION_LINE:
         raise ValueError(f"checkpoint {path}: version mismatch "
                          f"(got {head!r}, want {VERSION_LINE!r})")
-    scalars = {}
-    arrays = {}
+    if next(lines, None) != "[config]":
+        raise ValueError(f"checkpoint {path}: no [config] block after the "
+                         f"version line")
     config_lines = []
-    section = None
-    i = 1
-    while i < len(lines):
-        line = lines[i]
-        if line == "[config]":
-            section = "config"
-        elif line == "[state]":
-            section = "state"
-        elif line.startswith("[array "):
-            parts = line[1:-1].split()
-            name = parts[1]
-            shape = tuple(int(d) for d in parts[2:])
-            i += 1
-            values = np.array([float(tok) for tok in lines[i].split()],
-                              dtype=np.float64)
-            if values.size != int(np.prod(shape, dtype=int)):
-                raise ValueError(f"checkpoint {path}: array {name} has "
-                                 f"{values.size} values for shape {shape}")
-            arrays[name] = values.reshape(shape)
-            section = None
-        elif section == "config":
-            config_lines.append(line)
-        elif section == "state":
-            key, _, raw = line.partition("=")
-            scalars[key.strip()] = _parse_scalar(raw)
-        elif line.strip():
-            raise ValueError(f"checkpoint {path}: unexpected line {line!r}")
-        i += 1
+    for line in lines:
+        if line == "[state]":
+            break
+        config_lines.append(line)
+    else:
+        raise ValueError(f"checkpoint {path}: no [state] block")
     values = cfgmod.parse_config_text("\n".join(config_lines))
     cfg = cfgmod.RunConfig()
     for key, value in values.items():
         setattr(cfg, key, value)
-    return cfg.validate(), scalars, arrays
+    return cfg.validate()
+
+
+def load_checkpoint_config(path):
+    """The config echo alone; the array sections are never read."""
+    with open(path) as f:
+        return _read_config(path, (line.rstrip("\n") for line in f))
+
+
+def _parse_array(path, header, values_line):
+    """(name, array) from an ``[array name d0 d1 ...]`` header and the
+    line of values that follows it."""
+    try:
+        _, name, *dims = header[1:-1].split()
+        shape = tuple(int(d) for d in dims)
+    except ValueError:
+        raise ValueError(f"checkpoint {path}: malformed header {header!r}") from None
+    if values_line is None:
+        raise ValueError(f"checkpoint {path}: array {name} has no values line")
+    try:
+        values = np.array([float(tok) for tok in values_line.split()],
+                          dtype=np.float64)
+    except ValueError:
+        raise ValueError(f"checkpoint {path}: array {name} has a malformed "
+                         f"values line") from None
+    if values.size != int(np.prod(shape, dtype=int)):
+        raise ValueError(f"checkpoint {path}: array {name} has "
+                         f"{values.size} values for shape {shape}")
+    return name, values.reshape(shape)
+
+
+def load_checkpoint(path):
+    """Returns (RunConfig, scalar dict, array dict); rejects unknown
+    format versions and truncated or malformed arrays."""
+    with open(path) as f:
+        text = f.read()
+    # every save ends with a newline, so a file without one was cut short,
+    # possibly inside the last value
+    if text and not text.endswith("\n"):
+        raise ValueError(f"checkpoint {path}: truncated (no final newline)")
+    lines = iter(text.splitlines())
+    cfg = _read_config(path, lines)
+    scalars = {}
+    arrays = {}
+    for line in lines:
+        if line.startswith("[array "):
+            name, arr = _parse_array(path, line, next(lines, None))
+            arrays[name] = arr
+        elif not arrays and "=" in line:
+            key, _, raw = line.partition("=")
+            scalars[key.strip()] = _parse_scalar(raw)
+        elif line.strip():
+            raise ValueError(f"checkpoint {path}: unexpected line {line!r}")
+    return cfg, scalars, arrays

@@ -2,8 +2,11 @@
 
 Values resolve in three layers: built-in defaults, then the --config
 file, then explicit flags.  A flag left at its default (None) never
-overrides a file value.  Exit codes: 0 success, 1 runtime failure
-(aborted run, failed gradient check), 2 invalid configuration.
+overrides a file value.  Exit codes: 0 success; 1 runtime failure
+(aborted run, failed gradient check, or a checkpoint whose arrays or
+state are damaged, missing or of the wrong shape, reported as one
+``refgame: checkpoint <path>: ...`` line); 2 invalid configuration,
+including a missing checkpoint or an unreadable config echo.
 """
 
 from __future__ import annotations

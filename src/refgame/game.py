@@ -12,10 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import agents
 from . import autograd as ag
 from . import data
-from . import nn
 
 
 @dataclass
@@ -31,15 +29,6 @@ class GameInstance:
         cand = np.insert(self.distractor_features, self.target_index,
                          self.target_features, axis=0)
         return cand
-
-
-@dataclass
-class RoundOutcome:
-    loss: float
-    success: bool
-    message: agents.Message
-    image_probabilities: np.ndarray
-    loss_graph: ag.Tensor | None = None
 
 
 @dataclass
@@ -91,15 +80,6 @@ def make_batch(world, batch_size, k, rng, concepts=None):
                      cand_concepts=cand_concepts)
 
 
-def hinge_loss(target_score, distractor_scores):
-    """sum_k max(0, 1 - s_t + s_k) as a scalar tensor."""
-    t = target_score if isinstance(target_score, ag.Tensor) else ag.tensor(np.asarray(target_score, dtype=np.float64).reshape(1))
-    d = distractor_scores if isinstance(distractor_scores, ag.Tensor) else ag.tensor(np.asarray(distractor_scores, dtype=np.float64))
-    if d.data.size < 1:
-        raise ValueError("hinge_loss: need at least one distractor score")
-    return ag.sum_all(ag.relu(ag.add_const(ag.sub(d, t), 1.0)))
-
-
 def score_batch(g, cand_feats):
     """scores[b, k] = f(candidate bk) . g_b, as a (B, K+1) tensor."""
     n_cand = cand_feats.shape[1]
@@ -115,6 +95,8 @@ def hinge_batch(scores, target_index):
     with exactly cancelling gradients, so it is subtracted back out.
     """
     n_cand = scores.shape[1]
+    if n_cand < 2:
+        raise ValueError("hinge_batch: need at least one distractor score")
     picked = ag.pick_per_row(scores, target_index)
     rep = ag.repeat_cols(picked, n_cand)
     viol = ag.relu(ag.add_const(ag.sub(scores, rep), 1.0))
@@ -135,17 +117,3 @@ def image_probabilities(scores_data):
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
-
-def play_round(sender, receiver, instance, mode, rng=None, noise=None):
-    """Compose generate -> read -> score -> hinge for one instance."""
-    message = agents.sender_generate(sender, instance.target_features, mode,
-                                     rng=rng, noise=noise)
-    read_mode = "relaxed" if mode in ("relaxed", "straight_through") else "discrete"
-    g_vec = agents.receiver_read(receiver, message, mode=read_mode)
-    scores = agents.score_images(g_vec, instance.candidates)
-    loss = nn._first_row(hinge_batch(nn._as_row(scores), [instance.target_index]))
-    succ = bool(success_mask(scores.data.reshape(1, -1),
-                             np.array([instance.target_index]))[0])
-    return RoundOutcome(loss=loss.item(), success=succ, message=message,
-                        image_probabilities=image_probabilities(scores.data),
-                        loss_graph=loss)

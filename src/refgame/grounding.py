@@ -25,34 +25,6 @@ from . import data
 from . import game
 
 
-@dataclass
-class GroundingConfig:
-    """Weights and data split for grounded training.
-
-    lm_fraction of the concepts supply the caption corpus that trains the
-    language model (the rest is implied, so the two fractions sum to 1);
-    caption_fraction of the concepts feed the captioning term of direct
-    grounding, with the complement reserved for the game term.
-    """
-
-    kl_weight: float = 0.0
-    caption_weight: float = 0.0
-    lm_fraction: float = 0.5
-    caption_fraction: float = 0.25
-    lm: agents.LanguageModel | None = None
-
-    def validate(self):
-        for name in ("kl_weight", "caption_weight"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and non-negative, got {v}")
-        for name in ("lm_fraction", "caption_fraction"):
-            v = float(getattr(self, name))
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {v}")
-        return self
-
-
 def _check_lm_vocab(sender, lm):
     # row arithmetic below needs the two distributions on one outcome set
     if lm.vocab.size != sender.vocab.size:
@@ -71,6 +43,7 @@ def kl_penalty_col(sender, lm, roll):
     if roll.step_onehots is None:
         raise ValueError("kl_penalty_col: rollout has no one-hot tokens; "
                          "generate with straight_through mode")
+    _check_lm_vocab(sender, lm)
     lm_rows = agents.lm_logp_rows(lm, roll.step_onehots,
                                   batch_size=roll.batch_size)
     total = ag.tensor(np.zeros((roll.batch_size, 1)))
@@ -84,6 +57,7 @@ def kl_penalty_col(sender, lm, roll):
 def _kl_hard_col(sender, lm, roll):
     """KL column from hard token ids, for rollouts without a relaxation;
     gradient reaches the sender only through the explicit log q terms."""
+    _check_lm_vocab(sender, lm)
     lm_rows = agents.lm_logp_rows(lm, [roll.tokens[t] for t in range(roll.n_steps)],
                                   batch_size=roll.batch_size)
     total = ag.tensor(np.zeros((roll.batch_size, 1)))
@@ -92,23 +66,6 @@ def _kl_hard_col(sender, lm, roll):
                       ag.pick_per_row(lm_rows[t], roll.tokens[t]))
         total = ag.add(total, ag.mul(term, roll.mask_col(t)))
     return total
-
-
-def kl_penalty_sample(sender, lm, features, rng=None, noise=None):
-    """Single-sample KL estimate, batch-averaged.
-
-    Draws one straight-through message per feature row and returns the
-    scalar mean of the per-instance estimates.  Unbiased for
-    E[D_KL(q(.|t) || p_lm)] because the inner sum's expectation over the
-    sampled message is exactly the KL divergence.
-    """
-    _check_lm_vocab(sender, lm)
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim == 1:
-        feats = feats.reshape(1, -1)
-    roll = agents.generate_batch(sender, feats, "straight_through",
-                                 noise=noise, rng=rng)
-    return ag.mean_all(kl_penalty_col(sender, lm, roll))
 
 
 def _grounded_graph(sender, receiver, lm, batch, beta, mode, rng, noise):
@@ -124,7 +81,6 @@ def _grounded_graph(sender, receiver, lm, batch, beta, mode, rng, noise):
     hinge_col = game.hinge_batch(scores, batch.target_index)
     kl_col = None
     if beta != 0.0:
-        _check_lm_vocab(sender, lm)
         kl_col = (kl_penalty_col(sender, lm, roll)
                   if roll.step_onehots is not None
                   else _kl_hard_col(sender, lm, roll))
@@ -134,15 +90,6 @@ def _grounded_graph(sender, receiver, lm, batch, beta, mode, rng, noise):
         # grounding reproduces ungrounded training bit for bit
         loss = ag.mean_all(hinge_col)
     return loss, roll, scores, hinge_col, kl_col
-
-
-def grounded_game_loss(sender, receiver, lm, batch, beta,
-                       mode="straight_through", rng=None, noise=None):
-    """Scalar mean of [hinge + beta * KL estimate], one sampled message
-    per instance serving both terms."""
-    loss, _, _, _, _ = _grounded_graph(sender, receiver, lm, batch, beta,
-                                       mode, rng, noise)
-    return loss
 
 
 def grounded_step(sender, receiver, lm, batch, beta,
@@ -220,6 +167,8 @@ def caption_nll_batch(sender, feats, tokens, mask):
     """
     tokens = np.asarray(tokens, dtype=int)
     mask = np.asarray(mask, dtype=np.float64)
+    if tokens.shape[0] == 0 or not mask[0].all():
+        raise ValueError("caption_nll_batch: empty caption")
     if np.any(tokens < 0) or np.any(tokens > sender.vocab.eos):
         raise ValueError(f"caption tokens outside vocabulary "
                          f"(0..{sender.vocab.eos})")
@@ -239,17 +188,6 @@ def caption_nll_batch(sender, feats, tokens, mask):
         if t + 1 < t_steps:
             x = sender.embed.hard(tokens[t])
     return ag.scale(ag.mean_all(total), -1.0)
-
-
-def caption_loss(sender, features, gold_caption):
-    """Teacher-forced NLL of one caption (EOS included) under the sender's
-    generation distribution started from eta(f(t))."""
-    tokens = [int(t) for t in gold_caption]
-    if not tokens:
-        raise ValueError("caption_loss: empty caption")
-    feats = np.asarray(features, dtype=np.float64).reshape(1, -1)
-    arr = np.array(tokens, dtype=int).reshape(-1, 1)
-    return caption_nll_batch(sender, feats, arr, np.ones_like(arr, dtype=np.float64))
 
 
 def direct_grounding_step(sender, receiver, caption_batch, game_batch, lam,

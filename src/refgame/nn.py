@@ -1,9 +1,9 @@
 """Neural building blocks on the autograd engine: LSTM cell, embeddings,
 affine maps, a small MLP, and Adam.
 
-All layers operate on (B, features) matrices; single vectors are promoted
-to one-row matrices by callers.  Parameters are exposed as (name, Tensor)
-pairs so checkpointing and flattening see one stable, ordered namespace.
+All layers operate on (B, features) matrices; a single instance is a
+one-row matrix.  Parameters are exposed as (name, Tensor) pairs so
+checkpointing and flattening see one stable, ordered namespace.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class LstmCell:
         hs = self.hidden_size
         if x.shape[1] != self.input_size or h.shape[1] != hs or c.shape[1] != hs:
             raise ag.ShapeError(
-                f"lstm_step: got input {x.shape}, hidden {h.shape}, cell {c.shape} "
+                f"LstmCell.step: got input {x.shape}, hidden {h.shape}, cell {c.shape} "
                 f"for cell ({self.input_size}, {hs})")
         z = ag.add(ag.affine(x, self.w_x, self.b), ag.matmul(h, self.w_h))
         i = ag.sigmoid(ag.slice_cols(z, 0, hs))
@@ -87,44 +87,6 @@ class LstmCell:
     def named_params(self, prefix):
         return [(f"{prefix}.w_x", self.w_x), (f"{prefix}.w_h", self.w_h),
                 (f"{prefix}.b", self.b)]
-
-
-def lstm_step(cell, x, h, c):
-    """Vector-level LSTM step: accepts 1D vectors, returns 1D vectors."""
-    out_h, out_c = cell.step(_as_row(x), _as_row(h), _as_row(c))
-    return _first_row(out_h), _first_row(out_c)
-
-
-def _as_row(v):
-    return _reshape_row(v) if v.data.ndim == 1 else v
-
-
-def _reshape_row(v):
-    out = ag.Tensor(v.data.reshape(1, -1))
-    t = ag.active_tape()
-    if t is not None and v.requires_grad:
-        out.requires_grad = True
-
-        def bwd(g):
-            v.accumulate(g.reshape(v.data.shape))
-
-        t.record(out, bwd)
-    return out
-
-
-def _first_row(m):
-    out = ag.Tensor(m.data[0].copy())
-    t = ag.active_tape()
-    if t is not None and m.requires_grad:
-        out.requires_grad = True
-
-        def bwd(g):
-            if m.grad is None:
-                m.grad = np.zeros_like(m.data)
-            m.grad[0] += g
-
-        t.record(out, bwd)
-    return out
 
 
 class EmbeddingTable:
@@ -158,16 +120,6 @@ class EmbeddingTable:
 
     def named_params(self, prefix):
         return [(f"{prefix}.table", self.table)]
-
-
-def embed(table, token):
-    """Single-token lookup: integer id -> row, probability vector -> blend."""
-    if isinstance(token, (int, np.integer)):
-        if not 0 <= int(token) < table.vocab_size:
-            raise ValueError(f"embed: id {token} out of range for vocab {table.vocab_size}")
-        return _first_row(table.hard([int(token)]))
-    vec = token if isinstance(token, ag.Tensor) else ag.tensor(token)
-    return _first_row(table.soft(_reshape_row(vec)))
 
 
 class Mlp:
@@ -275,7 +227,3 @@ class Adam:
             v += (1.0 - self.beta2) * (g * g)
             p.data -= alpha * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
-
-def adam_step(state, params, grads, lr=None):
-    """Functional veneer over Adam.step."""
-    state.step(params, grads, lr=lr)

@@ -1,6 +1,8 @@
-"""Stochastic token machinery: named RNG streams, Gumbel-max sampling,
-the Gumbel-softmax relaxation, straight-through sampling, and the
-learned inverse-temperature network.
+"""Stochastic token machinery: named RNG streams, Gumbel noise, the
+batched Gumbel-softmax relaxation, and the learned inverse-temperature
+network.  agents.generate_batch draws tokens from these: Gumbel-max for
+sampling, and for straight-through the argmax of the same relaxation
+that carries the gradient.
 
 Randomness is drawn from named counter-based streams: ``stream(seed,
 *key)`` returns a fresh Philox generator for that key, so any draw can
@@ -9,8 +11,6 @@ this to reuse identical Gumbel noise across objective evaluations.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,50 +43,6 @@ def gumbel_noise(rng, shape):
     return -np.log(-np.log(u))
 
 
-@dataclass
-class StepSample:
-    """One sampled token: discrete id, optional relaxation, and the noise
-    that produced it (so the discrete id and the relaxation's argmax
-    coincide by construction)."""
-
-    token_id: int
-    log_prob: float
-    noise: np.ndarray
-    relaxed: ag.Tensor | None = None
-    onehot: ag.Tensor | None = None
-
-
-def _logits_tensor(logits):
-    t = logits if isinstance(logits, ag.Tensor) else ag.tensor(np.asarray(logits, dtype=np.float64))
-    if t.data.ndim != 1:
-        raise ag.ShapeError(f"expected a logits vector, got shape {t.shape}")
-    if not np.all(np.isfinite(t.data)):
-        raise ValueError("logits must be finite")
-    return t
-
-
-def gumbel_softmax(logits, temperature, noise):
-    """Relaxed categorical sample: softmax((log_softmax(logits) + g) / tau).
-
-    ``temperature`` may be a float or a scalar Tensor; the result is
-    differentiable with respect to the logits and a Tensor temperature.
-    """
-    lt = _logits_tensor(logits)
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != lt.shape:
-        raise ag.ShapeError(f"gumbel_softmax: noise shape {noise.shape} vs logits {lt.shape}")
-    if isinstance(temperature, ag.Tensor):
-        if np.any(temperature.data <= 0):
-            raise ValueError("gumbel_softmax: temperature must be positive")
-        inv = ag.div(ag.tensor(np.ones(1)), temperature)
-        y = ag.mul(ag.add(ag.log_softmax_rows(lt), ag.tensor(noise)), inv)
-    else:
-        if temperature <= 0:
-            raise ValueError("gumbel_softmax: temperature must be positive")
-        y = ag.scale(ag.add(ag.log_softmax_rows(lt), ag.tensor(noise)), 1.0 / float(temperature))
-    return ag.softmax_rows(y)
-
-
 def gumbel_softmax_rows(logits, inv_temperature, noise):
     """Batched relaxation on (B, V) logits.
 
@@ -99,31 +55,6 @@ def gumbel_softmax_rows(logits, inv_temperature, noise):
     else:
         y = ag.scale(y, float(inv_temperature))
     return ag.softmax_rows(y)
-
-
-def sample_token(logits, rng):
-    """Categorical draw via Gumbel-max: argmax(log p + g) ~ Cat(softmax(logits))."""
-    lt = _logits_tensor(logits)
-    g = gumbel_noise(rng, lt.shape)
-    logp = ag.log_softmax_rows(lt)
-    token = int(np.argmax(logp.data + g))
-    return StepSample(token_id=token, log_prob=float(logp.data[token]), noise=g)
-
-
-def st_sample(logits, temperature, rng):
-    """Straight-through draw: discrete one-hot forward, relaxed backward.
-
-    The discrete id equals the argmax of the relaxation for the same
-    noise, so message usage is identical in training and evaluation.
-    """
-    lt = _logits_tensor(logits)
-    g = gumbel_noise(rng, lt.shape)
-    logp = ag.log_softmax_rows(lt)
-    token = int(np.argmax(logp.data + g))
-    relaxed = gumbel_softmax(lt, temperature, g)
-    onehot = ag.straight_through(relaxed)
-    return StepSample(token_id=token, log_prob=float(logp.data[token]), noise=g,
-                      relaxed=relaxed, onehot=onehot)
 
 
 class TemperatureNet:
@@ -165,10 +96,3 @@ class TemperatureNet:
             out = self.hidden.named_params(f"{prefix}.hidden") + out
         return out
 
-
-def temperature(net, h):
-    """Scalar temperature for one hidden vector; differentiable w.r.t. w."""
-    hv = h if isinstance(h, ag.Tensor) else ag.tensor(np.asarray(h, dtype=np.float64))
-    row = nn._as_row(hv)
-    inv = net.inverse_col(row)
-    return ag.div(ag.tensor(np.ones(1)), nn._first_row(inv))

@@ -159,9 +159,28 @@ def save_run(run, path):
     ckpt.save_checkpoint(path, run.cfg, run_scalars(run), run_arrays(run))
 
 
+def _checked_array(path, arrays, key, shape):
+    """A copy of one checkpoint array, which must exist with this shape."""
+    arr = arrays.get(key)
+    if arr is None:
+        raise ValueError(f"checkpoint {path}: missing array {key}")
+    if arr.shape != shape:
+        raise ValueError(f"checkpoint {path}: array {key} has shape "
+                         f"{arr.shape}, expected {shape}")
+    return arr.copy()
+
+
+def _checked_scalar(path, scalars, key):
+    if key not in scalars:
+        raise ValueError(f"checkpoint {path}: missing state value {key}")
+    return scalars[key]
+
+
 def restore_run(cfg, path):
     """Rebuild a Run from a checkpoint; schedule fields follow cfg, but
-    architecture fields must match the checkpoint's config echo."""
+    architecture fields must match the checkpoint's config echo.  Every
+    parameter needs its array, and an optimizer that has stepped needs
+    both moments of every parameter it updates."""
     saved_cfg, scalars, arrays = ckpt.load_checkpoint(path)
     for name in ARCH_FIELDS:
         if getattr(saved_cfg, name) != getattr(cfg, name):
@@ -170,25 +189,26 @@ def restore_run(cfg, path):
                              f"{getattr(cfg, name)!r})")
     run = init_run(cfg)
     for name, t in _named_model_params(run):
-        t.data = arrays[f"param/{name}"].copy()
-    opts = [("adam_s", run.opt_s), ("adam_r", run.opt_r)]
+        t.data = _checked_array(path, arrays, f"param/{name}", t.data.shape)
+    opts = [("adam_s", run.opt_s, run.sender.named_params()),
+            ("adam_r", run.opt_r, run.receiver.named_params())]
     if run.rf is not None:
-        opts.append(("adam_b", run.rf.mlp_opt))
-    for tag, opt in opts:
-        for key, arr in arrays.items():
-            section, _, name = key.partition("/")
-            if section == f"{tag}.m":
-                opt.m[name] = arr.copy()
-            elif section == f"{tag}.v":
-                opt.v[name] = arr.copy()
-        opt.t = int(scalars[f"{tag}.t"])
-    run.update = int(scalars["update"])
-    run.best_success = float(scalars["best_success"])
-    run.best_update = int(scalars["best_update"])
+        opts.append(("adam_b", run.rf.mlp_opt, list(run.rf.mlp_params)))
+    for tag, opt, named in opts:
+        opt.t = int(_checked_scalar(path, scalars, f"{tag}.t"))
+        if opt.t > 0:
+            for name, t in named:
+                opt.m[name] = _checked_array(path, arrays, f"{tag}.m/{name}",
+                                             t.data.shape)
+                opt.v[name] = _checked_array(path, arrays, f"{tag}.v/{name}",
+                                             t.data.shape)
+    run.update = int(_checked_scalar(path, scalars, "update"))
+    run.best_success = float(_checked_scalar(path, scalars, "best_success"))
+    run.best_update = int(_checked_scalar(path, scalars, "best_update"))
     if run.rf is not None:
-        run.rf.m1 = float(scalars["reinforce.m1"])
-        run.rf.m2 = float(scalars["reinforce.m2"])
-        run.rf.t = int(scalars["reinforce.t"])
+        run.rf.m1 = float(_checked_scalar(path, scalars, "reinforce.m1"))
+        run.rf.m2 = float(_checked_scalar(path, scalars, "reinforce.m2"))
+        run.rf.t = int(_checked_scalar(path, scalars, "reinforce.t"))
     return run
 
 
@@ -205,9 +225,9 @@ def load_lm(cfg, path):
     lm = agents.LanguageModel.create(smp.stream(cfg.seed, smp.DOMAIN_LM, 0),
                                      vocab, cfg.embed_dim, cfg.hidden_dim)
     for name, t in lm.named_params():
-        t.data = arrays[f"param/{name}"].copy()
+        t.data = _checked_array(path, arrays, f"param/{name}", t.data.shape)
     lm.freeze()
-    return lm, float(scalars["lm_train_perplexity"])
+    return lm, float(_checked_scalar(path, scalars, "lm_train_perplexity"))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +488,7 @@ def checkpoint_config(out):
     path = os.path.join(out, "checkpoint.txt")
     if not os.path.isfile(path):
         raise FileNotFoundError(f"no checkpoint at {path}")
-    return ckpt.load_checkpoint(path)[0]
+    return ckpt.load_checkpoint_config(path)
 
 
 def load_run(cfg):

@@ -5,6 +5,7 @@ and reproducibility.  Heavy runs are shared through session fixtures."""
 import dataclasses
 import os
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -190,12 +191,23 @@ def test_c02_sampling_correctness():
         r2 = np.random.default_rng(2)
         for _ in range(300):
             row = r2.standard_normal(k)
-            s = smp.st_sample(ag.tensor(row), tau, r2)
+            s = st_draw(row, tau, r2)
             assert s.token_id == int(np.argmax(s.relaxed.data))
             assert s.token_id == int(np.argmax(s.onehot.data))
     assert time.monotonic() - t0 < 60.0
     print(f"C2 sampling correctness: TV={tv:.4f}, "
           f"argmax agreement at tau 0.1/1.2/5 -> PASS")
+
+
+def st_draw(row, tau, rng):
+    """One straight-through draw through the batched sampling ops: the
+    Gumbel-max token, its relaxation and the one-hot, under shared noise."""
+    logits = ag.tensor(row.reshape(1, -1))
+    g = smp.gumbel_noise(rng, (1, row.size))
+    token = int(np.argmax(ag.log_softmax_rows(logits).data + g))
+    relaxed = smp.gumbel_softmax_rows(logits, 1.0 / tau, g)
+    return SimpleNamespace(token_id=token, relaxed=relaxed,
+                           onehot=ag.straight_through(relaxed))
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +250,9 @@ def test_c03_estimator_unbiasedness():
             tp.backward(lp)
         grads.append(params.flatten_dict(params.grads()))
         probs.append(np.exp(lp.item()))
-        g_vec = agents.receiver_read(receiver, list(msg), "discrete")
-        scores = agents.score_images(g_vec, base.cand_feats[0])
-        ti = int(base.target_index[0])
-        dist = np.delete(scores.data.reshape(-1), ti)
-        losses.append(game.hinge_loss(scores.data.reshape(-1)[ti], dist).item())
+        g_vec = agents.receiver_read(receiver, list(msg))
+        scores = game.score_batch(g_vec, base.cand_feats)
+        losses.append(game.hinge_batch(scores, base.target_index).item())
     probs = np.array(probs)
     losses = np.array(losses)
     grads = np.stack(grads)
@@ -268,7 +278,8 @@ def test_c03_estimator_unbiasedness():
     feats = base.target_feats[0]
     logq = np.array([message_log_prob(sender2, feats, m)
                      for m in enumerate_messages(vocab2)])
-    logp = np.array([agents.lm_log_prob(lm, list(m)).item()
+    logp = np.array([-agents.lm_nll_batch(lm, np.reshape(m, (-1, 1)),
+                                          np.ones((len(m), 1)))[0].item()
                      for m in enumerate_messages(vocab2)])
     q = np.exp(logq)
     assert abs(q.sum() - 1.0) < 1e-9
@@ -277,8 +288,9 @@ def test_c03_estimator_unbiasedness():
 
     noise2 = smp.gumbel_noise(smp.stream(0, smp.DOMAIN_GUMBEL, 1),
                               (2, n, vocab2.n_outcomes))
-    estimate = gr.kl_penalty_sample(sender2, lm, np.tile(feats, (n, 1)),
-                                    noise=noise2).item()
+    roll2 = agents.generate_batch(sender2, np.tile(feats, (n, 1)),
+                                  "straight_through", noise=noise2)
+    estimate = ag.mean_all(gr.kl_penalty_col(sender2, lm, roll2)).item()
     se_kl = np.sqrt(var / n)
     assert abs(estimate - exact_kl) < 2.0 * se_kl, \
         f"KL {estimate} vs {exact_kl} (SE {se_kl})"

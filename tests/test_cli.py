@@ -3,6 +3,7 @@ resume semantics, and the command-line surface."""
 
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,95 @@ def test_checkpoint_array_size_mismatch(tmp_path):
     path.write_text(text)
     with pytest.raises(ValueError, match="array x"):
         ck.load_checkpoint(path)
+
+
+def damaged_run(tmp_path, edit):
+    """A finished micro run whose checkpoint text is passed through edit."""
+    cfg = micro_cfg(tmp_path / "run", max_updates=10)
+    assert not train.run_train(cfg)["failed"]
+    path = os.path.join(cfg.out, "checkpoint.txt")
+    text = read(path)
+    with open(path, "w") as f:
+        f.write(edit(text))
+    return cfg, path
+
+
+def drop_array(name):
+    """Checkpoint edit that removes one array, header and values."""
+    def edit(text):
+        lines = text.splitlines()
+        i = next(k for k, ln in enumerate(lines)
+                 if ln.startswith(f"[array {name} "))
+        return "\n".join(lines[:i] + lines[i + 2:]) + "\n"
+    return edit
+
+
+def assert_eval_fails_cleanly(cfg, path, capsys, *needles):
+    """`refgame eval` exits 1 with one `refgame: checkpoint ...` line that
+    names the file and every needle."""
+    capsys.readouterr()
+    assert cli.main(["eval", "--out", cfg.out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"refgame: checkpoint {path}: ")
+    assert err.count("\n") == 1
+    for needle in needles:
+        assert needle in err
+
+
+def test_checkpoint_truncated_after_array_header(tmp_path, capsys):
+    def cut(text):
+        lines = text.splitlines()
+        last = max(k for k, ln in enumerate(lines) if ln.startswith("[array "))
+        return "\n".join(lines[:last + 1]) + "\n"
+    cfg, path = damaged_run(tmp_path, cut)
+    name = [ln for ln in read(path).splitlines()][-1].split()[1]
+    with pytest.raises(ValueError, match=f"array {name} has no values"):
+        ck.load_checkpoint(path)
+    assert_eval_fails_cleanly(cfg, path, capsys, name)
+    # a cut inside the last value can leave a shorter number, not fewer
+    cfg, path = damaged_run(tmp_path / "mid", lambda text: text[:-3])
+    with pytest.raises(ValueError, match="truncated"):
+        ck.load_checkpoint(path)
+    assert_eval_fails_cleanly(cfg, path, capsys, "truncated")
+
+
+def test_checkpoint_missing_param_array(tmp_path, capsys):
+    cfg, path = damaged_run(tmp_path, drop_array("param/receiver.g.b"))
+    with pytest.raises(ValueError, match="missing array param/receiver.g.b"):
+        train.restore_run(cfg, path)
+    assert_eval_fails_cleanly(cfg, path, capsys, "param/receiver.g.b")
+    # the same holds for a line of run state
+    cfg, path = damaged_run(tmp_path / "state", lambda text: re.sub(
+        r"\nadam_r\.t = \d+", "", text))
+    assert_eval_fails_cleanly(cfg, path, capsys, "missing state value adam_r.t")
+
+
+def test_checkpoint_missing_adam_moment(tmp_path, capsys):
+    cfg, path = damaged_run(tmp_path, drop_array("adam_s.v/sender.proj.w"))
+    with pytest.raises(ValueError, match="missing array adam_s.v/sender.proj.w"):
+        train.restore_run(cfg, path)
+    assert_eval_fails_cleanly(cfg, path, capsys, "adam_s.v/sender.proj.w")
+
+
+def test_checkpoint_wrong_array_shape(tmp_path, capsys):
+    # hidden 10 -> features 8; the transposed header keeps the value count
+    cfg, path = damaged_run(tmp_path, lambda text: text.replace(
+        "[array param/receiver.g.w 10 8]", "[array param/receiver.g.w 8 10]"))
+    with pytest.raises(ValueError, match=r"param/receiver.g.w has shape \(8, 10\)"):
+        train.restore_run(cfg, path)
+    assert_eval_fails_cleanly(cfg, path, capsys, "param/receiver.g.w",
+                              "expected (10, 8)")
+
+
+def test_checkpoint_config_read_skips_damaged_arrays(tmp_path, capsys):
+    def garble(text):
+        lines = text.splitlines()
+        first = next(k for k, ln in enumerate(lines) if ln.startswith("[array "))
+        lines[first + 1] = "not a number"
+        return "\n".join(lines) + "\n"
+    cfg, path = damaged_run(tmp_path, garble)
+    assert train.checkpoint_config(cfg.out) == cfg
+    assert_eval_fails_cleanly(cfg, path, capsys, "malformed")
 
 
 # ---------------------------------------------------------------------------

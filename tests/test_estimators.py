@@ -243,12 +243,9 @@ def test_baseline_reduces_enumerated_estimator_variance():
         grads.append(params.flatten_dict(params.grads()))
         probs.append(float(np.exp(logp.item())))
         toks = [t for t in msg if t != vocab.eos]
-        g = agents.receiver_read(receiver, toks if toks else [vocab.eos],
-                                 "discrete")
-        scores = agents.score_images(g, batch.cand_feats[0])
-        ti = int(batch.target_index[0])
-        dist = np.delete(scores.data.reshape(-1), ti)
-        losses.append(game.hinge_loss(scores.data.reshape(-1)[ti], dist).item())
+        g = agents.receiver_read(receiver, toks if toks else [vocab.eos])
+        scores = game.score_batch(g, batch.cand_feats)
+        losses.append(game.hinge_batch(scores, batch.target_index).item())
 
     probs = np.array(probs)
     losses = np.array(losses)

@@ -1,5 +1,6 @@
 """Game environment checks: the margin objective, batch construction,
-success accounting, and round composition."""
+success accounting, and round composition.  A single round is a one-row
+batch."""
 
 import numpy as np
 import pytest
@@ -29,42 +30,47 @@ def make_agents(seed, vocab_size=4, max_len=3, d=6, embed=5, hidden=8):
     return s, r
 
 
+def hinge_of(target_score, distractor_scores):
+    """Hinge of one round with the target in column 0."""
+    row = np.concatenate([[target_score], distractor_scores]).reshape(1, -1)
+    return game.hinge_batch(ag.tensor(row), [0]).item()
+
+
 def test_hinge_loss_satisfied_margin():
-    assert game.hinge_loss(5.0, np.array([3.0, 3.0, 3.0])).item() == 0.0
+    assert hinge_of(5.0, np.array([3.0, 3.0, 3.0])) == 0.0
 
 
 def test_hinge_loss_hand_value():
-    assert abs(game.hinge_loss(0.0, np.array([0.0, 0.0])).item() - 2.0) < 1e-12
+    assert abs(hinge_of(0.0, np.array([0.0, 0.0])) - 2.0) < 1e-12
 
 
 def test_hinge_loss_gradient_counts_violators():
     """d loss / d s_t = -(number of distractors with 1 - s_t + s_k > 0)."""
-    s_t = ag.param(np.array([0.5]))
-    s_d = ag.param(np.array([0.2, -1.0, 0.6]))  # violators: 0.2 and 0.6
+    # target in column 2; violators: 0.2 and 0.6
+    scores = ag.param(np.array([[0.2, -1.0, 0.5, 0.6]]))
     with ag.tape() as tp:
-        s_t.zero_grad()
-        s_d.zero_grad()
-        tp.backward(game.hinge_loss(s_t, s_d))
-    assert s_t.grad[0] == -2.0
-    assert np.array_equal(s_d.grad, np.array([1.0, 0.0, 1.0]))
+        scores.zero_grad()
+        tp.backward(game.hinge_batch(scores, [2]))
+    assert np.array_equal(scores.grad, np.array([[1.0, 0.0, -2.0, 1.0]]))
 
 
 def test_hinge_loss_rejects_no_distractors():
-    with pytest.raises(ValueError):
-        game.hinge_loss(1.0, np.zeros(0))
+    with pytest.raises(ValueError, match="distractor"):
+        game.hinge_batch(ag.tensor(np.ones((3, 1))), [0, 0, 0])
 
 
 def test_hinge_nonnegative_and_zero_iff_margin():
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        s_t = rng.normal()
-        s_d = rng.normal(size=4)
-        val = game.hinge_loss(s_t, s_d).item()
-        assert val >= 0.0
-        if np.all(s_t - s_d >= 1.0):
-            assert val == 0.0
+    s_t = rng.normal(size=(200, 1))
+    s_d = rng.normal(size=(200, 4))
+    vals = game.hinge_batch(ag.tensor(np.hstack([s_t, s_d])),
+                            np.zeros(200, dtype=int)).data[:, 0]
+    for j in range(200):
+        assert vals[j] >= 0.0
+        if np.all(s_t[j] - s_d[j] >= 1.0):
+            assert vals[j] == 0.0
         else:
-            assert val > 0.0
+            assert vals[j] > 0.0
 
 
 def test_hinge_batch_matches_scalar_hinge():
@@ -75,7 +81,8 @@ def test_hinge_batch_matches_scalar_hinge():
     col = game.hinge_batch(ag.tensor(scores.copy()), idx)
     for j in range(b):
         dist = np.delete(scores[j], idx[j])
-        assert abs(col.data[j, 0] - game.hinge_loss(scores[j, idx[j]], dist).item()) < 1e-12
+        want = np.maximum(0.0, 1.0 - scores[j, idx[j]] + dist).sum()
+        assert abs(col.data[j, 0] - want) < 1e-12
 
 
 def test_success_mask_strict_ties_fail():
@@ -98,8 +105,8 @@ def test_hinge_permutation_invariance_over_distractors():
     rng = np.random.default_rng(3)
     s_t = 0.3
     s_d = rng.normal(size=6)
-    v1 = game.hinge_loss(s_t, s_d).item()
-    v2 = game.hinge_loss(s_t, np.flip(s_d).copy()).item()
+    v1 = hinge_of(s_t, s_d)
+    v2 = hinge_of(s_t, np.flip(s_d).copy())
     assert v1 == v2
 
 
@@ -189,6 +196,7 @@ def test_play_round_oracle_receiver_succeeds():
 
 
 def test_play_round_outcome_fields():
+    """One round as a one-row batch: generate, read, score, hinge."""
     world = small_world()
     s, r = make_agents(13)
     inst = game.GameInstance(target_features=batchless_target(world),
@@ -196,11 +204,17 @@ def test_play_round_outcome_fields():
                                  [data.sample_instance(world, c, np.random.default_rng(c)).features
                                   for c in (1, 2, 3)]),
                              target_index=2)
-    out = game.play_round(s, r, inst, "sample", rng=np.random.default_rng(0))
-    assert out.loss >= 0.0
-    assert out.image_probabilities.shape == (4,)
-    assert abs(out.image_probabilities.sum() - 1.0) < 1e-12
-    assert out.success == (np.argmax(out.image_probabilities) == 2)
+    roll = agents.generate_batch(s, inst.target_features.reshape(1, -1),
+                                 "sample", rng=np.random.default_rng(0))
+    g = agents.read_batch(r, roll, "discrete")
+    scores = game.score_batch(g, inst.candidates[np.newaxis])
+    loss = game.hinge_batch(scores, [inst.target_index]).item()
+    probs = game.image_probabilities(scores.data)
+    success = game.success_mask(scores.data, np.array([inst.target_index]))[0]
+    assert loss >= 0.0
+    assert probs.shape == (1, 4)
+    assert abs(probs.sum() - 1.0) < 1e-12
+    assert success == (np.argmax(probs[0]) == 2)
 
 
 def batchless_target(world):
@@ -228,8 +242,8 @@ def test_play_round_expected_loss_matches_enumeration():
     for m in enumerate_messages(s.vocab):
         q = np.exp(message_log_prob(s, target, list(m)))
         g = agents.receiver_read(r, list(m))
-        scores = agents.score_images(g, inst.candidates)
-        exact += q * game.hinge_loss(scores.data[0], scores.data[1:]).item()
+        scores = game.score_batch(g, inst.candidates[np.newaxis])
+        exact += q * game.hinge_batch(scores, [0]).item()
 
     n = 100000
     tiled = np.tile(target, (n, 1))

@@ -6,13 +6,14 @@ import pytest
 
 import refgame.agents as agents
 import refgame.autograd as ag
+import refgame.config as cfgmod
 import refgame.data as data
 import refgame.estimators as est
 import refgame.game as game
 import refgame.grounding as gr
 import refgame.sampling as smp
 
-from test_agents import enumerate_messages, message_log_prob
+from test_agents import enumerate_messages, lm_logp, message_log_prob
 
 
 def small_world(seed=0, d=6):
@@ -45,6 +46,20 @@ def noise_for(vocab, batch_size, seed=11):
                             (vocab.max_len, batch_size, vocab.size + 1))
 
 
+def kl_mean(sender, lm, feats, noise):
+    """Batch mean of single-sample KL estimates, one straight-through
+    message per feature row."""
+    roll = agents.generate_batch(sender, feats, "straight_through", noise=noise)
+    return ag.mean_all(gr.kl_penalty_col(sender, lm, roll))
+
+
+def caption_nll(sender, features, caption):
+    """Teacher-forced NLL of one caption as a one-column batch."""
+    tokens = np.asarray(caption, dtype=int).reshape(-1, 1)
+    return gr.caption_nll_batch(sender, np.asarray(features).reshape(1, -1),
+                                tokens, np.ones(tokens.shape))
+
+
 # ---------------------------------------------------------------------------
 # KL penalty
 
@@ -58,8 +73,7 @@ def test_identical_distributions_give_exactly_zero_kl():
     zero_params(sender)
     for _, t in lm.named_params():
         t.data[...] = 0.0
-    val = gr.kl_penalty_sample(sender, lm, np.zeros((8, 6)),
-                               noise=noise_for(vocab, 8))
+    val = kl_mean(sender, lm, np.zeros((8, 6)), noise_for(vocab, 8))
     assert val.item() == 0.0
 
 
@@ -84,13 +98,9 @@ def test_kl_sample_matches_enumerated_divergence():
     tiled = np.tile(feats, (n, 1))
     noise = smp.gumbel_noise(np.random.default_rng(17),
                              (vocab.max_len, n, vocab.size + 1))
-    estimate = gr.kl_penalty_sample(sender, lm, tiled, noise=noise).item()
+    estimate = kl_mean(sender, lm, tiled, noise).item()
     se = np.sqrt(var / n)
     assert abs(estimate - exact_kl) < 2.0 * se
-
-
-def lm_logp(lm, msg):
-    return agents.lm_log_prob(lm, list(msg)).item()
 
 
 def test_beta_zero_builds_the_plain_game_graph():
@@ -144,8 +154,7 @@ def test_vocab_mismatch_is_rejected():
     lm = make_lm(other)
     batch = game.make_batch(world, 4, 2, np.random.default_rng(4))
     with pytest.raises(ValueError, match="vocabulary"):
-        gr.kl_penalty_sample(sender, lm, batch.target_feats,
-                             noise=noise_for(vocab, 4))
+        kl_mean(sender, lm, batch.target_feats, noise_for(vocab, 4))
     with pytest.raises(ValueError, match="vocabulary"):
         gr.grounded_step(sender, receiver, lm, batch, beta=0.1,
                          noise=noise_for(vocab, 4))
@@ -171,7 +180,7 @@ def test_forced_eos_sender_gives_near_zero_eos_caption_nll():
     sender.proj.w.data[...] = 0.0
     sender.proj.b.data[...] = 0.0
     sender.proj.b.data[vocab.eos] = 40.0
-    val = gr.caption_loss(sender, np.zeros(6), [vocab.eos]).item()
+    val = caption_nll(sender, np.zeros(6), [vocab.eos]).item()
     assert 0.0 <= val < 1e-10
 
 
@@ -179,7 +188,7 @@ def test_uniform_sender_caption_nll_is_length_times_log_outcomes():
     vocab, sender, _ = make_pair()
     zero_params(sender)
     cap = [0, 1, vocab.eos]
-    val = gr.caption_loss(sender, np.zeros(6), cap).item()
+    val = caption_nll(sender, np.zeros(6), cap).item()
     assert abs(val - len(cap) * np.log(vocab.n_outcomes)) < 1e-12
 
 
@@ -237,7 +246,11 @@ def test_caption_token_range_checked():
 def test_empty_caption_rejected():
     vocab, sender, _ = make_pair()
     with pytest.raises(ValueError, match="empty"):
-        gr.caption_loss(sender, np.zeros(6), [])
+        caption_nll(sender, np.zeros(6), [])
+    # an empty caption padded into a batch is caught too
+    tokens, mask = agents.pad_sequences([[0, vocab.eos], []], vocab.eos)
+    with pytest.raises(ValueError, match="empty"):
+        gr.caption_nll_batch(sender, np.zeros((2, 6)), tokens, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +327,13 @@ def test_caption_batch_table_override():
 
 
 def test_grounding_config_validation():
-    good = gr.GroundingConfig(kl_weight=0.1, caption_weight=0.0)
+    good = cfgmod.RunConfig(kl_weight=0.1, caption_weight=0.0)
     assert good.validate() is good
-    with pytest.raises(ValueError):
-        gr.GroundingConfig(kl_weight=-0.1).validate()
-    with pytest.raises(ValueError):
-        gr.GroundingConfig(lm_fraction=0.0).validate()
-    with pytest.raises(ValueError):
-        gr.GroundingConfig(caption_fraction=1.0).validate()
+    with pytest.raises(ValueError, match="kl_weight"):
+        cfgmod.RunConfig(kl_weight=-0.1).validate()
+    with pytest.raises(ValueError, match="caption_weight"):
+        cfgmod.RunConfig(caption_weight=float("nan")).validate()
+    with pytest.raises(ValueError, match="lm_fraction"):
+        cfgmod.RunConfig(lm_fraction=0.0).validate()
+    with pytest.raises(ValueError, match="caption_fraction"):
+        cfgmod.RunConfig(caption_fraction=1.0).validate()

@@ -99,9 +99,11 @@ def test_soft_uniform_is_row_mean():
 def test_embed_veneer_and_range_check():
     rng = np.random.default_rng(8)
     emb = nn.EmbeddingTable.create(rng, 4, 3)
-    assert np.array_equal(nn.embed(emb, 1).data, emb.table.data[1])
-    with pytest.raises(ValueError):
-        nn.embed(emb, 4)
+    assert np.array_equal(emb.hard([1, 3]).data, emb.table.data[[1, 3]])
+    with pytest.raises(ValueError, match="out of range"):
+        emb.hard([4])
+    with pytest.raises(ValueError, match="out of range"):
+        emb.hard([-1])
 
 
 def test_soft_width_must_fit_table():

@@ -1,11 +1,14 @@
 """Stochastic machinery checks: stream reproducibility, Gumbel-max
 statistics, relaxation validity, straight-through consistency, and the
-inverse-temperature formula."""
+inverse-temperature formula.  Token draws go through the sender's
+batched rollout."""
 
 import numpy as np
 import pytest
 
+import refgame.agents as agents
 import refgame.autograd as ag
+import refgame.config as cfgmod
 import refgame.sampling as smp
 
 EULER_GAMMA = 0.5772156649015329
@@ -14,6 +17,21 @@ EULER_GAMMA = 0.5772156649015329
 def tv(counts, p):
     emp = counts / counts.sum()
     return 0.5 * np.abs(emp - p).sum()
+
+
+def fixed_logits_sender(logits, tau=1.2):
+    """A one-step sender whose every step has the given |V|+1 logits,
+    whatever its input."""
+    vocab = agents.Vocabulary(len(logits) - 1, 1)
+    s = agents.Sender.create(np.random.default_rng(0), vocab, 2, 3, 4, tau=tau)
+    s.proj.w.data[...] = 0.0
+    s.proj.b.data[...] = logits
+    return s
+
+
+def draw(sender, n, mode, rng):
+    """n one-step rollouts of a fixed-logits sender."""
+    return agents.generate_batch(sender, np.zeros((n, 2)), mode, rng=rng)
 
 
 def test_stream_reproducible_and_distinct():
@@ -34,22 +52,23 @@ def test_gumbel_noise_statistics():
 
 
 def test_gumbel_softmax_degenerate_logits():
-    logits = np.array([40.0, -40.0, -40.0])
+    logits = ag.tensor(np.tile([40.0, -40.0, -40.0], (100, 1)))
     rng = smp.stream(1, smp.DOMAIN_GUMBEL)
-    for _ in range(100):
-        w = smp.gumbel_softmax(logits, 1.0, smp.gumbel_noise(rng, (3,)))
-        assert np.max(np.abs(w.data - np.array([1.0, 0.0, 0.0]))) < 1e-9
+    w = smp.gumbel_softmax_rows(logits, 1.0, smp.gumbel_noise(rng, (100, 3)))
+    assert np.max(np.abs(w.data - np.array([1.0, 0.0, 0.0]))) < 1e-9
 
 
 def test_gumbel_softmax_validation():
-    with pytest.raises(ValueError):
-        smp.gumbel_softmax(np.zeros(3), 0.0, np.zeros(3))
-    with pytest.raises(ValueError):
-        smp.gumbel_softmax(np.zeros(3), -1.0, np.zeros(3))
+    # a fixed temperature is a config value, checked there
+    with pytest.raises(ValueError, match="temperature"):
+        cfgmod.RunConfig(temperature=0.0).validate()
+    with pytest.raises(ValueError, match="temperature"):
+        cfgmod.RunConfig(temperature=-1.0).validate()
     with pytest.raises(ag.ShapeError):
-        smp.gumbel_softmax(np.zeros(3), 1.0, np.zeros(4))
-    with pytest.raises(ValueError):
-        smp.gumbel_softmax(np.array([np.inf, 0.0]), 1.0, np.zeros(2))
+        smp.gumbel_softmax_rows(ag.tensor(np.zeros((2, 3))), 1.0, np.zeros((2, 4)))
+    s = fixed_logits_sender(np.zeros(3))
+    with pytest.raises(ag.ShapeError, match="noise shape"):
+        agents.generate_batch(s, np.zeros((2, 2)), "relaxed", noise=np.zeros((1, 2, 4)))
 
 
 def test_small_tau_approaches_one_hot():
@@ -74,33 +93,34 @@ def test_small_tau_approaches_one_hot():
 def test_relaxed_outputs_are_distributions():
     rng = smp.stream(3, smp.DOMAIN_GUMBEL)
     for tau in (0.1, 1.2, 5.0):
-        for _ in range(50):
-            logits = rng.uniform(-3, 3, 6)
-            w = smp.gumbel_softmax(logits, tau, smp.gumbel_noise(rng, (6,)))
-            assert np.all(w.data >= 0)
-            assert abs(w.data.sum() - 1.0) < 1e-9
+        logits = ag.tensor(rng.uniform(-3, 3, (50, 6)))
+        w = smp.gumbel_softmax_rows(logits, 1.0 / tau,
+                                    smp.gumbel_noise(rng, (50, 6)))
+        assert np.all(w.data >= 0)
+        assert np.max(np.abs(w.data.sum(axis=1) - 1.0)) < 1e-9
 
 
 def test_sample_token_frequencies():
     p = np.array([0.5, 0.3, 0.2])
-    rng = smp.stream(4, smp.DOMAIN_GUMBEL)
-    counts = np.zeros(3)
-    for _ in range(10000):
-        counts[smp.sample_token(np.log(p), rng).token_id] += 1
+    roll = draw(fixed_logits_sender(np.log(p)), 10000, "sample",
+                smp.stream(4, smp.DOMAIN_GUMBEL))
+    counts = np.bincount(roll.tokens[0], minlength=3).astype(float)
     assert tv(counts, p) < 0.03
 
 
 def test_sample_token_single_category_and_log_prob():
-    rng = smp.stream(5, smp.DOMAIN_GUMBEL)
-    s = smp.sample_token(np.array([1.7]), rng)
-    assert s.token_id == 0
-    assert abs(s.log_prob) < 1e-12
+    # every step has exactly one live outcome: a lone EOS message
+    roll = draw(fixed_logits_sender(np.array([-50.0, 1.7])), 5, "sample",
+                smp.stream(5, smp.DOMAIN_GUMBEL))
+    assert np.array_equal(roll.tokens, np.ones((1, 5), dtype=int))
+    assert np.max(np.abs(roll.logp_sum.data)) < 1e-12
 
 
 def test_sample_token_deterministic():
-    seq1 = [smp.sample_token(np.zeros(4), smp.stream(6, smp.DOMAIN_GUMBEL, k)).token_id
+    s = fixed_logits_sender(np.zeros(4))
+    seq1 = [int(draw(s, 1, "sample", smp.stream(6, smp.DOMAIN_GUMBEL, k)).tokens[0, 0])
             for k in range(20)]
-    seq2 = [smp.sample_token(np.zeros(4), smp.stream(6, smp.DOMAIN_GUMBEL, k)).token_id
+    seq2 = [int(draw(s, 1, "sample", smp.stream(6, smp.DOMAIN_GUMBEL, k)).tokens[0, 0])
             for k in range(20)]
     assert seq1 == seq2
 
@@ -108,49 +128,54 @@ def test_sample_token_deterministic():
 def test_st_sample_consistency_across_temperatures():
     rng = smp.stream(7, smp.DOMAIN_GUMBEL)
     for tau in (0.1, 1.2, 5.0):
-        for _ in range(200):
+        for _ in range(20):
             logits = rng.uniform(-2, 2, 5)
-            s = smp.st_sample(logits, tau, rng)
-            assert s.token_id == int(np.argmax(s.relaxed.data))
-            assert np.array_equal(np.sort(s.onehot.data), np.array([0, 0, 0, 0, 1.0]))
-            assert s.onehot.data[s.token_id] == 1.0
-            assert abs(s.relaxed.data.sum() - 1.0) < 1e-9
-            # log_prob matches the softmax of the logits at the sampled id
+            roll = draw(fixed_logits_sender(logits, tau=tau), 10,
+                        "straight_through", rng)
+            tokens = roll.tokens[0]
+            relaxed = roll.step_relaxed[0].data
+            onehot = roll.step_onehots[0].data
+            assert np.array_equal(tokens, np.argmax(relaxed, axis=1))
+            assert np.array_equal(np.sort(onehot, axis=1),
+                                  np.tile([0, 0, 0, 0, 1.0], (10, 1)))
+            assert np.all(onehot[np.arange(10), tokens] == 1.0)
+            assert np.max(np.abs(relaxed.sum(axis=1) - 1.0)) < 1e-9
+            # log-prob matches the softmax of the logits at the sampled id
             logp = logits - np.log(np.sum(np.exp(logits)))
-            assert abs(s.log_prob - logp[s.token_id]) < 1e-9
+            assert np.max(np.abs(roll.logp_sum.data[:, 0] - logp[tokens])) < 1e-9
 
 
 def test_st_matches_plain_sampling_mechanism():
     """Same stream, same logits: the two samplers draw identical tokens."""
-    logits = np.array([0.4, -0.3, 1.1, 0.0])
+    s = fixed_logits_sender(np.array([0.4, -0.3, 1.1, 0.0]))
     for k in range(50):
-        a = smp.sample_token(logits, smp.stream(8, smp.DOMAIN_GUMBEL, k))
-        b = smp.st_sample(logits, 1.2, smp.stream(8, smp.DOMAIN_GUMBEL, k))
-        assert a.token_id == b.token_id
+        a = draw(s, 4, "sample", smp.stream(8, smp.DOMAIN_GUMBEL, k))
+        b = draw(s, 4, "straight_through", smp.stream(8, smp.DOMAIN_GUMBEL, k))
+        assert np.array_equal(a.tokens, b.tokens)
 
 
 def test_st_gradient_reaches_logits():
-    rng = smp.stream(9, smp.DOMAIN_GUMBEL)
+    noise = smp.gumbel_noise(smp.stream(9, smp.DOMAIN_GUMBEL), (1, 3))
     with ag.tape() as tp:
-        logits = ag.param(np.array([0.5, -0.2, 0.1]))
-        s = smp.st_sample(logits, 1.2, rng)
-        tp.backward(ag.dot(s.onehot, ag.tensor(np.array([1.0, 2.0, 3.0]))))
+        logits = ag.param(np.array([[0.5, -0.2, 0.1]]))
+        onehot = ag.straight_through(smp.gumbel_softmax_rows(logits, 1.0 / 1.2, noise))
+        tp.backward(ag.sum_all(ag.mul(onehot, ag.tensor(np.array([[1.0, 2.0, 3.0]])))))
     assert logits.grad is not None
     assert np.any(logits.grad != 0)
 
 
 def test_temperature_formula_at_zero_weights():
     net = smp.TemperatureNet(np.zeros((3, 1)), 0.2)
-    t = smp.temperature(net, np.ones(3))
-    assert abs(t.item() - 1.0 / (np.log(2.0) + 0.2)) < 1e-12
+    inv = net.inverse_col(ag.tensor(np.ones((1, 3))))
+    assert abs(1.0 / inv.item() - 1.0 / (np.log(2.0) + 0.2)) < 1e-12
 
 
 def test_temperature_bound():
     rng = np.random.default_rng(0)
     net = smp.TemperatureNet(rng.normal(size=(4, 1)), 0.2)
-    for _ in range(100):
-        t = smp.temperature(net, rng.normal(scale=3.0, size=4))
-        assert 0.0 < t.item() <= 5.0 + 1e-12
+    tau = 1.0 / net.inverse_col(ag.tensor(rng.normal(scale=3.0, size=(100, 4)))).data
+    assert np.all(tau > 0.0)
+    assert np.all(tau <= 5.0 + 1e-12)
 
 
 def test_temperature_net_optional_hidden():
