@@ -8,11 +8,10 @@ Every computation runs on (B, .) matrices (generate_batch, read_batch,
 lm_logp_rows, lm_nll_batch) with post-termination positions masked out
 of every sum; a single instance is a one-row batch.  The one
 single-message path is receiver_read, which omission scoring calls once
-per message and once per deletion.  It stays a plain one-row read for
-two reasons: read_batch adds a masked state carry at every step, and a
-row of a batched matrix product can differ in the last bit from the
-one-row product, which the exact-equality omission checks against a
-one-row NumPy replay would catch.
+per message and once per deletion.  It stays a plain one-row read
+because a row of a batched matrix product can differ in the last bit
+from the one-row product, which the exact-equality omission checks
+against a one-row NumPy replay would catch.
 """
 
 from __future__ import annotations
@@ -294,10 +293,9 @@ def read_batch(receiver, rollout, mode="discrete"):
     for t in range(rollout.n_steps):
         x = _receiver_input(receiver, rollout, t, mode)
         h_new, c_new = receiver.cell.step(x, h, c)
-        m = rollout.mask_col(t)
-        keep = ag.tensor(1.0 - rollout.emitted[t].reshape(b, 1))
-        h = ag.add(ag.mul_rows(h_new, m), ag.mul_rows(h, keep))
-        c = ag.add(ag.mul_rows(c_new, m), ag.mul_rows(c, keep))
+        m = rollout.emitted[t].reshape(b, 1)
+        h = ag.masked_carry(h_new, h, m)
+        c = ag.masked_carry(c_new, c, m)
     return receiver.g_map(h)
 
 
@@ -331,10 +329,11 @@ def receiver_read(receiver, tokens):
 
 
 def _check_lm_tokens(lm, tokens):
-    for tok in tokens:
-        if not 0 <= int(tok) <= lm.vocab.eos:
-            raise ValueError(f"language model: token {tok} outside vocabulary "
-                             f"(0..{lm.vocab.eos})")
+    """Every id of a token array must be an ordinary symbol or EOS."""
+    bad = (tokens < 0) | (tokens > lm.vocab.eos)
+    if bad.any():
+        raise ValueError(f"language model: token {tokens[bad][0]} outside "
+                         f"vocabulary (0..{lm.vocab.eos})")
 
 
 def lm_logp_rows(lm, token_reps, batch_size=None):
@@ -371,8 +370,9 @@ def lm_nll_batch(lm, tokens, mask):
 
     tokens: (T, B) int array padded past each sequence's EOS; mask: (T, B)
     with 1.0 on real positions.  Returns (total_nll Tensor scalar,
-    n_tokens float).
+    n_tokens float).  Raises ValueError on an id outside 0..EOS.
     """
+    _check_lm_tokens(lm, tokens)
     t_steps, b = tokens.shape
     rows = lm_logp_rows(lm, [tokens[t] for t in range(t_steps)], batch_size=b)
     total = ag.tensor(np.zeros((b, 1)))
@@ -398,8 +398,7 @@ def lm_train(lm, corpus, epochs, rng, lr=1e-3, batch_size=32):
     per-token perplexity over the corpus."""
     if not corpus:
         raise ValueError("lm_train: empty corpus")
-    for seq in corpus:
-        _check_lm_tokens(lm, seq)
+    _check_lm_tokens(lm, pad_sequences(corpus, lm.vocab.eos)[0])
     params = lm.param_set()
     opt = nn.Adam(lr=lr)
     n = len(corpus)

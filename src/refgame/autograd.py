@@ -4,12 +4,21 @@ Every differentiable computation in the package runs through the ops in
 this module.  Design rules:
 
 * define-by-run: a ``Tape`` records executed ops in order; ``backward``
-  replays the record in exact reverse order.
+  replays the record in exact reverse order.  A node has one output
+  Tensor or a tuple of them (``lstm_cell`` returns ``(h_new, c_new)``);
+  a multi-output node's backward gets one gradient per output, ``None``
+  where an output received none.
+* fused ops cover the chains the agents run at every step, each as one
+  node with a hand-written backward: ``lstm_cell`` (one LSTM step),
+  ``masked_carry`` (freeze finished rows of a recurrent state) and
+  ``batch_dot`` (score every candidate against its row's vector).
 * no silent broadcasting.  Elementwise ops require identical shapes; the
   single documented exception is a size-1 ("scalar") operand for
   ``add``/``sub``/``mul``.  Row-wise combinations are explicit
   ops (``affine``, ``mul_rows``, ``repeat_cols``).
 * float64 throughout, so finite-difference checks can run at 1e-5.
+* a gradient's first write copies, never aliases: backward rules hand the
+  same array to several parents.
 
 Ops only record onto a tape when one is active (see ``tape()``), which
 keeps pure evaluation passes free of graph overhead.
@@ -55,37 +64,20 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        # The first write copies: backward closures hand the same array (or
+        # a view of it) to several parents, so the grad must never alias g.
+        if self.grad is None and g.shape == self.data.shape:
+            self.grad = np.array(g, dtype=np.float64)
+        elif self.grad is None:
+            self.grad = np.zeros_like(self.data) + g
+        else:
+            self.grad += g
 
     def zero_grad(self):
         self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Arithmetic sugar; delegates to the strict ops below.
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _lift(x):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
 
 
 def tensor(data):
@@ -108,6 +100,7 @@ class Tape:
         self.consumed = False
 
     def record(self, out, backward_fn):
+        """out is one Tensor or, for a multi-output op, a tuple of them."""
         self.nodes.append((out, backward_fn))
 
     def backward(self, loss):
@@ -118,7 +111,11 @@ class Tape:
         self.consumed = True
         loss.accumulate(np.ones_like(loss.data))
         for out, fn in reversed(self.nodes):
-            if out.grad is not None:
+            if type(out) is tuple:
+                grads = [o.grad for o in out]
+                if any(g is not None for g in grads):
+                    fn(*grads)
+            elif out.grad is not None:
                 fn(out.grad)
 
 
@@ -139,14 +136,6 @@ def active_tape():
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def backward(loss):
-    """Run reverse accumulation from a scalar loss on the active tape."""
-    t = active_tape()
-    if t is None:
-        raise RuntimeError("backward: no active tape; wrap the forward pass in `with tape():`")
-    t.backward(loss)
-
-
 def _make(op_name, data, parents, backward_fn):
     """Create the output tensor and record it when recording is on."""
     out = Tensor(data)
@@ -155,6 +144,18 @@ def _make(op_name, data, parents, backward_fn):
         out.requires_grad = True
         t.record(out, backward_fn)
     return out
+
+
+def _make_many(op_name, datas, parents, backward_fn):
+    """Multi-output _make: one tape node for a tuple of outputs.  The
+    backward gets one gradient per output, None where none arrived."""
+    outs = tuple(Tensor(d) for d in datas)
+    t = active_tape()
+    if t is not None and any(p.requires_grad for p in parents):
+        for o in outs:
+            o.requires_grad = True
+        t.record(outs, backward_fn)
+    return outs
 
 
 def _is_scalar(x):
@@ -236,10 +237,14 @@ def add_const(x, c):
 # nonlinearities
 
 
-def sigmoid(x):
-    t = np.exp(-np.abs(x.data))
+def _sigmoid(z):
+    t = np.exp(-np.abs(z))
     pos = 1.0 / (1.0 + t)
-    out_data = np.where(x.data >= 0, pos, t / (1.0 + t))
+    return np.where(z >= 0, pos, t / (1.0 + t))
+
+
+def sigmoid(x):
+    out_data = _sigmoid(x.data)
 
     def bwd(g):
         if x.requires_grad:
@@ -383,26 +388,6 @@ def repeat_cols(col, n):
     return _make("repeat_cols", out_data, (col,), bwd)
 
 
-def concat_cols(parts):
-    """Concatenate 2D blocks along columns."""
-    parts = list(parts)
-    if not parts:
-        raise ShapeError("concat_cols: empty input")
-    if any(p.data.ndim != 2 for p in parts) or len({p.shape[0] for p in parts}) != 1:
-        raise _shape_err("concat_cols", *[p.shape for p in parts])
-    out_data = np.concatenate([p.data for p in parts], axis=1)
-    widths = [p.shape[1] for p in parts]
-
-    def bwd(g):
-        off = 0
-        for p, w in zip(parts, widths):
-            if p.requires_grad:
-                p.accumulate(g[:, off:off + w])
-            off += w
-
-    return _make("concat_cols", out_data, tuple(parts), bwd)
-
-
 def slice_cols(x, start, stop):
     if x.data.ndim != 2 or not (0 <= start < stop <= x.shape[1]):
         raise ShapeError(f"slice_cols: [{start}:{stop}] invalid for shape {x.shape}")
@@ -464,6 +449,100 @@ def pick_per_row(x, ids):
             x.grad[rng_idx, ids] += g[:, 0]
 
     return _make("pick_per_row", out_data, (x,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# fused ops: one tape node each for a chain the agents run at every step
+
+
+def lstm_cell(x, h, c, w_x, w_h, b):
+    """One LSTM step on (B, ·) rows as a single node; returns (h_new, c_new).
+
+    Gate pre-activations z = (x @ w_x + b) + h @ w_h have the column blocks
+    input | forget | candidate | output.  The forward keeps the NumPy
+    expressions of the unfused chain (affine, add, a contiguous copy of each
+    gate block through sigmoid or tanh, then f*c + i*g and o*tanh(c_new)),
+    so its values are bit-identical to that chain's.
+    """
+    if (x.data.ndim != 2 or h.data.ndim != 2 or c.shape != h.shape
+            or w_x.data.ndim != 2 or w_h.data.ndim != 2 or b.data.ndim != 1
+            or x.shape[0] != h.shape[0] or w_x.shape[0] != x.shape[1]
+            or w_h.shape != (h.shape[1], 4 * h.shape[1])
+            or w_x.shape[1] != w_h.shape[1] or b.shape[0] != w_h.shape[1]):
+        raise _shape_err("lstm_cell", x.shape, h.shape, c.shape, w_x.shape,
+                         w_h.shape, b.shape)
+    hs = h.shape[1]
+    z = (x.data @ w_x.data + b.data) + h.data @ w_h.data
+    i = _sigmoid(z[:, :hs].copy())
+    f = _sigmoid(z[:, hs:2 * hs].copy())
+    g = np.tanh(z[:, 2 * hs:3 * hs].copy())
+    o = _sigmoid(z[:, 3 * hs:].copy())
+    c_new = f * c.data + i * g
+    tanh_c = np.tanh(c_new)
+    h_new = o * tanh_c
+
+    def bwd(g_h, g_c):
+        dz = np.empty_like(z)
+        if g_h is None:
+            dc = g_c
+            dz[:, 3 * hs:] = 0.0
+        else:
+            dc = g_h * o * (1.0 - tanh_c * tanh_c)
+            if g_c is not None:
+                dc += g_c
+            dz[:, 3 * hs:] = g_h * tanh_c * o * (1.0 - o)
+        dz[:, :hs] = dc * g * i * (1.0 - i)
+        dz[:, hs:2 * hs] = dc * c.data * f * (1.0 - f)
+        dz[:, 2 * hs:3 * hs] = dc * i * (1.0 - g * g)
+        if x.requires_grad:
+            x.accumulate(dz @ w_x.data.T)
+        if h.requires_grad:
+            h.accumulate(dz @ w_h.data.T)
+        if c.requires_grad:
+            c.accumulate(dc * f)
+        if w_x.requires_grad:
+            w_x.accumulate(x.data.T @ dz)
+        if w_h.requires_grad:
+            w_h.accumulate(h.data.T @ dz)
+        if b.requires_grad:
+            b.accumulate(dz.sum(axis=0))
+
+    return _make_many("lstm_cell", (h_new, c_new), (x, h, c, w_x, w_h, b), bwd)
+
+
+def masked_carry(new, old, mask):
+    """mask * new + (1 - mask) * old with a constant (B, 1) column mask:
+    rows whose mask is 0 keep the old value, rows whose mask is 1 take the
+    new one."""
+    m = np.asarray(mask, dtype=np.float64)
+    if new.data.ndim != 2 or old.shape != new.shape or m.shape != (new.shape[0], 1):
+        raise _shape_err("masked_carry", new.shape, old.shape, m.shape)
+    keep = 1.0 - m
+    out_data = new.data * m + old.data * keep
+
+    def bwd(g):
+        if new.requires_grad:
+            new.accumulate(g * m)
+        if old.requires_grad:
+            old.accumulate(g * keep)
+
+    return _make("masked_carry", out_data, (new, old), bwd)
+
+
+def batch_dot(cands, g):
+    """out[b, k] = cands[b, k] . g[b] for (B, K, D) cands and (B, D) rows."""
+    if (cands.data.ndim != 3 or g.data.ndim != 2
+            or cands.shape[0] != g.shape[0] or cands.shape[2] != g.shape[1]):
+        raise _shape_err("batch_dot", cands.shape, g.shape)
+    out_data = np.matmul(cands.data, g.data[:, :, None])[:, :, 0]
+
+    def bwd(go):
+        if cands.requires_grad:
+            cands.accumulate(go[:, :, None] * g.data[:, None, :])
+        if g.requires_grad:
+            g.accumulate(np.matmul(go[:, None, :], cands.data)[:, 0, :])
+
+    return _make("batch_dot", out_data, (cands, g), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +630,6 @@ OPS = {
     "affine": affine,
     "mul_rows": mul_rows,
     "repeat_cols": repeat_cols,
-    "concat": concat_cols,
     "slice": slice_cols,
     "slice_rows": slice_rows,
     "rows": rows,
@@ -559,5 +637,8 @@ OPS = {
     "sum": sum_all,
     "mean": mean_all,
     "sum_rows": sum_rows,
+    "lstm_cell": lstm_cell,
+    "masked_carry": masked_carry,
+    "batch_dot": batch_dot,
 }
 

@@ -82,10 +82,7 @@ def make_batch(world, batch_size, k, rng, concepts=None):
 
 def score_batch(g, cand_feats):
     """scores[b, k] = f(candidate bk) . g_b, as a (B, K+1) tensor."""
-    n_cand = cand_feats.shape[1]
-    cols = [ag.sum_rows(ag.mul(g, ag.tensor(cand_feats[:, k, :].copy())))
-            for k in range(n_cand)]
-    return ag.concat_cols(cols)
+    return ag.batch_dot(ag.tensor(cand_feats), g)
 
 
 def hinge_batch(scores, target_index):

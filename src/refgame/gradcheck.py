@@ -101,16 +101,38 @@ def _binary_scalar(op, sampler_b=_u):
     return build
 
 
+def _lstm_arrays(rng):
+    """x, h, c, w_x, w_h, b for a cell with input 4 and hidden 3."""
+    return [_u(rng, 2, 4), _u(rng, 2, 3), _u(rng, 2, 3),
+            _u(rng, 4, 12, lo=-0.5, hi=0.5), _u(rng, 3, 12, lo=-0.5, hi=0.5),
+            _u(rng, 12, lo=-0.5, hi=0.5)]
+
+
+def _lstm_cell(outputs):
+    """lstm_cell with the probe on h_new, c_new, or a mix of both; with one
+    output the other gets no gradient."""
+    def build(rng):
+        arrays, mix = _lstm_arrays(rng), _u(rng, 2, 3)
+
+        def fn(t):
+            h, c = ag.lstm_cell(*t)
+            if outputs == "h":
+                return h
+            if outputs == "c":
+                return c
+            return ag.add(h, ag.mul(c, ag.tensor(mix)))
+        return arrays, fn
+    return build
+
+
 def _build_lstm(rng):
-    arrays = [_u(rng, 2, 4), _u(rng, 2, 3), _u(rng, 2, 3),
-              _u(rng, 4, 12, lo=-0.5, hi=0.5), _u(rng, 3, 12, lo=-0.5, hi=0.5),
-              _u(rng, 12, lo=-0.5, hi=0.5)]
+    arrays, mix = _lstm_arrays(rng), _u(rng, 2, 3)
 
     def fn(t):
         cell = nn.LstmCell(arrays[3], arrays[4], arrays[5])
         cell.w_x, cell.w_h, cell.b = t[3], t[4], t[5]
         h, c = cell.step(t[0], t[1], t[2])
-        return ag.concat_cols([h, c])
+        return ag.add(h, ag.mul(c, ag.tensor(mix)))
     return arrays, fn
 
 
@@ -212,9 +234,6 @@ def all_cases():
     cases.append(("repeat_cols",
                   lambda rng: ([_u(rng, 3, 1)],
                                lambda t: ag.repeat_cols(t[0], 4))))
-    cases.append(("concat",
-                  lambda rng: ([_u(rng, 3, 2), _u(rng, 3, 3), _u(rng, 3, 1)],
-                               lambda t: ag.concat_cols(list(t)))))
     cases.append(("slice",
                   lambda rng: ([_u(rng, 3, 6)],
                                lambda t: ag.slice_cols(t[0], 1, 4))))
@@ -233,7 +252,19 @@ def all_cases():
         return [_u(rng, 4, 5)], lambda t: ag.pick_per_row(t[0], ids)
     cases.append(("pick_per_row", pick_build))
 
+    def carry_build(rng):
+        mask = np.array([[1.0], [0.0], [float(rng.integers(0, 2))]])
+        return ([_u(rng, 3, 4), _u(rng, 3, 4)],
+                lambda t: ag.masked_carry(t[0], t[1], mask))
+    cases.append(("masked_carry", carry_build))
+    cases.append(("batch_dot",
+                  lambda rng: ([_u(rng, 2, 3, 4), _u(rng, 2, 4)],
+                               lambda t: ag.batch_dot(t[0], t[1]))))
+
     cases.extend([
+        ("lstm_cell", _lstm_cell("both")),
+        ("lstm_cell:h_only", _lstm_cell("h")),
+        ("lstm_cell:c_only", _lstm_cell("c")),
         ("layer:lstm_step", _build_lstm),
         ("layer:affine_map", _build_affine_map),
         ("layer:embedding_soft", _build_embedding_soft),

@@ -50,7 +50,8 @@ class LstmCell:
 
     Gate pre-activations are computed in one fused (4H) block with column
     order input | forget | candidate | output.  The forget-gate bias
-    block is initialized to 1.0.
+    block is initialized to 1.0.  A step is one ``ag.lstm_cell`` tape node
+    with a hand-written backward.
     """
 
     def __init__(self, w_x, w_h, b):
@@ -70,19 +71,7 @@ class LstmCell:
 
     def step(self, x, h, c):
         """One recurrence step on (B, ·) matrices; returns (h_new, c_new)."""
-        hs = self.hidden_size
-        if x.shape[1] != self.input_size or h.shape[1] != hs or c.shape[1] != hs:
-            raise ag.ShapeError(
-                f"LstmCell.step: got input {x.shape}, hidden {h.shape}, cell {c.shape} "
-                f"for cell ({self.input_size}, {hs})")
-        z = ag.add(ag.affine(x, self.w_x, self.b), ag.matmul(h, self.w_h))
-        i = ag.sigmoid(ag.slice_cols(z, 0, hs))
-        f = ag.sigmoid(ag.slice_cols(z, hs, 2 * hs))
-        g = ag.tanh(ag.slice_cols(z, 2 * hs, 3 * hs))
-        o = ag.sigmoid(ag.slice_cols(z, 3 * hs, 4 * hs))
-        c_new = ag.add(ag.mul(f, c), ag.mul(i, g))
-        h_new = ag.mul(o, ag.tanh(c_new))
-        return h_new, c_new
+        return ag.lstm_cell(x, h, c, self.w_x, self.w_h, self.b)
 
     def named_params(self, prefix):
         return [(f"{prefix}.w_x", self.w_x), (f"{prefix}.w_h", self.w_h),

@@ -314,6 +314,23 @@ def _direct_step(run, t, lam, cap_ids, game_ids, table):
     return metrics
 
 
+def _truncate_rows_after(path, update):
+    """Cut metrics.csv back to its header and the complete rows at or
+    before update.  _loop writes a row before it saves the checkpoint, so
+    a run stopped between the two leaves a row the checkpoint does not
+    cover, and the resumed run would write that row again."""
+    if not os.path.isfile(path):
+        return
+    with open(path, "rb+") as f:
+        lines = f.readlines()
+        keep = len(lines[0]) if lines else 0
+        for line in lines[1:]:
+            if not line.endswith(b"\n") or int(line.split(b",", 1)[0]) > update:
+                break
+            keep += len(line)
+        f.truncate(keep)
+
+
 def _loop(run, step_fn, resume):
     """Shared eval / step / early-stop loop.  Returns a summary dict; on a
     non-finite loss the last-good checkpoint is left in place and the
@@ -324,6 +341,8 @@ def _loop(run, step_fn, resume):
     cfgmod.save_config(cfg, os.path.join(outdir, "config.txt"))
     csv_path = os.path.join(outdir, "metrics.csv")
     ckpt_path = os.path.join(outdir, "checkpoint.txt")
+    if resume:
+        _truncate_rows_after(csv_path, run.update)
     csv = open(csv_path, "a" if resume else "w")
     if not resume:
         csv.write(CSV_HEADER + "\n")

@@ -324,6 +324,19 @@ def test_lm_log_prob_rejects_out_of_vocabulary():
         agents.lm_train(lm, [[1, vocab.eos], [7]], 1, np.random.default_rng(0))
 
 
+def test_lm_nll_batch_rejects_ids_outside_vocabulary():
+    """A negative id must not be scored as the last row's entry (EOS), and
+    START is an input only, never a scored outcome."""
+    vocab = agents.Vocabulary(3, 4)
+    lm = agents.LanguageModel.create(np.random.default_rng(3), vocab, 5, 6)
+    for bad in (-1, vocab.start):
+        tokens = np.array([[0, 0], [bad, vocab.eos]])
+        with pytest.raises(ValueError, match="outside vocabulary"):
+            agents.lm_nll_batch(lm, tokens, np.ones(tokens.shape))
+        with pytest.raises(ValueError, match="outside vocabulary"):
+            agents.lm_perplexity(lm, [[0, bad]])
+
+
 def test_lm_message_space_sums_to_one():
     """|V|=3, L=3: exp(log p_lm) summed over all 40 possible messages
     must equal 1 (the generation tree is exhaustive)."""

@@ -193,3 +193,96 @@ def test_straight_through_of_softmax_is_one_hot(x):
     onehot = ag.straight_through(ag.softmax_rows(ag.tensor(x))).data
     assert np.array_equal(np.sort(onehot, axis=1)[:, :-1], np.zeros_like(onehot[:, :-1]))
     assert np.array_equal(onehot.max(axis=1), np.ones(onehot.shape[0]))
+
+
+# ---------------------------------------------------------------------------
+# fused ops and the tape they record on
+
+
+def np_sigmoid(z):
+    t = np.exp(-np.abs(z))
+    pos = 1.0 / (1.0 + t)
+    return np.where(z >= 0, pos, t / (1.0 + t))
+
+
+def unfused_lstm_step(x, h, c, w_x, w_h, b):
+    """The arithmetic of the 16-op chain lstm_cell replaced: affine, add,
+    a copied slice per gate through sigmoid or tanh, mul, add, mul."""
+    hs = h.shape[1]
+    z = (x @ w_x + b) + h @ w_h
+    i = np_sigmoid(z[:, :hs].copy())
+    f = np_sigmoid(z[:, hs:2 * hs].copy())
+    g = np.tanh(z[:, 2 * hs:3 * hs].copy())
+    o = np_sigmoid(z[:, 3 * hs:4 * hs].copy())
+    c_new = f * c + i * g
+    return o * np.tanh(c_new), c_new
+
+
+@pytest.mark.parametrize("batch", [1, 32])
+def test_lstm_cell_forward_bit_identical_to_unfused_chain(batch):
+    rng = np.random.default_rng(batch)
+    arrays = [rng.uniform(-2, 2, (batch, 32)), rng.uniform(-1, 1, (batch, 64)),
+              rng.uniform(-3, 3, (batch, 64)), rng.uniform(-0.5, 0.5, (32, 256)),
+              rng.uniform(-0.5, 0.5, (64, 256)), rng.uniform(-1, 1, 256)]
+    h_ref, c_ref = unfused_lstm_step(*arrays)
+    with ag.tape():
+        h, c = ag.lstm_cell(*[ag.param(a) for a in arrays])
+    assert np.array_equal(h.data, h_ref)
+    assert np.array_equal(c.data, c_ref)
+
+
+def test_lstm_cell_is_one_tape_node_with_two_outputs():
+    rng = np.random.default_rng(0)
+    with ag.tape() as tp:
+        x = ag.param(rng.uniform(-1, 1, (2, 3)))
+        zeros = ag.tensor(np.zeros((2, 4)))
+        h, c = ag.lstm_cell(x, zeros, zeros, ag.tensor(rng.uniform(-1, 1, (3, 16))),
+                            ag.tensor(rng.uniform(-1, 1, (4, 16))),
+                            ag.tensor(np.zeros(16)))
+        assert len(tp.nodes) == 1 and tp.nodes[0][0] == (h, c)
+        # only h feeds the loss: the backward gets None for c_new
+        tp.backward(ag.sum_all(h))
+    assert c.grad is None and x.grad.shape == (2, 3)
+
+
+def test_lstm_cell_rejects_bad_shapes():
+    z = ag.tensor(np.zeros((2, 3)))
+    with pytest.raises(ag.ShapeError, match="lstm_cell"):
+        ag.lstm_cell(ag.tensor(np.zeros((2, 5))), z, z, ag.tensor(np.zeros((4, 12))),
+                     ag.tensor(np.zeros((3, 12))), ag.tensor(np.zeros(12)))
+
+
+def test_masked_carry_keeps_masked_rows():
+    new = ag.tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    old = ag.tensor(np.array([[-1.0, -2.0], [-3.0, -4.0]]))
+    out = ag.masked_carry(new, old, np.array([[1.0], [0.0]]))
+    assert np.array_equal(out.data, [[1.0, 2.0], [-3.0, -4.0]])
+    with pytest.raises(ag.ShapeError):
+        ag.masked_carry(new, old, np.ones(2))
+
+
+def test_batch_dot_matches_per_row_dots():
+    rng = np.random.default_rng(4)
+    cands, g = rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 4))
+    out = ag.batch_dot(ag.tensor(cands), ag.tensor(g))
+    assert out.shape == (3, 5)
+    assert np.allclose(out.data, [[c @ g[b] for c in cands[b]] for b in range(3)],
+                       atol=1e-14)
+    with pytest.raises(ag.ShapeError):
+        ag.batch_dot(ag.tensor(cands), ag.tensor(np.zeros((3, 5))))
+
+
+def test_shared_gradient_is_not_aliased_across_parents():
+    """add hands one array to both parents.  Had the first write aliased
+    it, the later gradient into a from its other consumer would also land
+    in b.grad."""
+    p = np.array([[0.5, -1.0]])
+    q = np.array([[2.0, 3.0]])
+    with ag.tape() as tp:
+        a = ag.param(np.array([[1.0, 2.0]]))
+        b = ag.param(np.array([[-1.0, 0.5]]))
+        u = ag.mul(a, ag.tensor(q))  # recorded first, so its backward runs last
+        s = ag.add(a, b)
+        tp.backward(ag.sum_all(ag.add(ag.mul(s, ag.tensor(p)), u)))
+    assert np.array_equal(b.grad, p)
+    assert np.array_equal(a.grad, p + q)

@@ -247,6 +247,35 @@ def test_resume_matches_uninterrupted_run(tmp_path):
             == checkpoint_without_out(f"{part.out}/checkpoint.txt"))
 
 
+def test_resume_after_failed_save_writes_no_duplicate_row(tmp_path, monkeypatch):
+    """A failure between the metrics row at update 20 and its checkpoint
+    leaves the update-10 checkpoint behind; the resumed run must drop the
+    uncovered row, not write update 20 twice."""
+    full = micro_cfg(tmp_path / "full")
+    train.run_train(full)
+
+    cfg = micro_cfg(tmp_path / "killed")
+    save_run = train.save_run
+
+    def failing_save(run, path):
+        if run.update == 20:
+            raise OSError("injected failure before the checkpoint write")
+        save_run(run, path)
+
+    monkeypatch.setattr(train, "save_run", failing_save)
+    with pytest.raises(OSError, match="injected"):
+        train.run_train(cfg)
+    monkeypatch.setattr(train, "save_run", save_run)
+    rows = read(f"{cfg.out}/metrics.csv").splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["0", "10", "20"]
+
+    res = train.run_train(cfg, resume=True)
+    assert not res["failed"] and res["update"] == 30
+    rows = read(f"{cfg.out}/metrics.csv").splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["0", "10", "20", "30"]
+    assert read(f"{cfg.out}/metrics.csv") == read(f"{full.out}/metrics.csv")
+
+
 def test_resume_rejects_architecture_change(tmp_path):
     cfg = micro_cfg(tmp_path, max_updates=10)
     train.run_train(cfg)

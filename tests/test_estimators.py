@@ -361,3 +361,27 @@ def test_acute_angle_fraction_deterministic():
     assert dots1 == dots2
     assert len(dots1) == 5
     assert 0.0 <= frac1 <= 1.0
+
+
+def test_desk_stgs_update_records_fewer_than_120_tape_nodes(monkeypatch):
+    """One st-gs update at the default (desk) shape: each LSTM step, state
+    carry and the candidate scoring are single fused nodes."""
+    import refgame.config as cfgmod
+    import refgame.train as train
+
+    cfg = cfgmod.RunConfig()
+    run = train.init_run(cfg)
+    batch = game.make_batch(run.world, cfg.batch_size, cfg.distractors,
+                            np.random.default_rng(0))
+    noise = smp.gumbel_noise(np.random.default_rng(1),
+                             (cfg.max_len, cfg.batch_size, run.vocab.n_outcomes))
+    nodes = []
+    record = ag.Tape.record
+
+    def counting(tape, out, fn):
+        nodes.append(out)
+        return record(tape, out, fn)
+
+    monkeypatch.setattr(ag.Tape, "record", counting)
+    est.stgs_step(run.sender, run.receiver, batch, noise=noise)
+    assert 0 < len(nodes) < 120
