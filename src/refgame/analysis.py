@@ -7,6 +7,11 @@ negative log-probability of the sender's own sampled emissions with EOS
 included and padding masked; omission scores measure how much the target
 probability drops when one message token is deleted; prefix purity asks
 how well short message prefixes predict single attribute values.
+
+Omission scoring shares receiver states by token prefix: within one call,
+every distinct prefix of the full and reduced messages is read once, with
+the same one-row LSTM step ``receiver_read`` takes, so each probability is
+bit-identical to a fresh read.
 """
 
 from __future__ import annotations
@@ -126,19 +131,53 @@ def target_probability(receiver, tokens, instance):
 def omission_score(receiver, message, instance):
     """max over non-EOS positions i of p(target | m) - p(target | m
     without token i); deleting the only content token leaves a lone EOS."""
-    tokens = [int(t) for t in message]
+    return _omission_scores(receiver, [message], [instance.candidates],
+                            [instance.target_index])[0]
+
+
+def _omission_scores(receiver, messages, candidates, target_indices):
+    """omission_score of each message against its (K+1, D) candidates.
+
+    Every token sequence the scores need, each message and each of its
+    one-token deletions, is read once and in sorted order, so a read
+    starts from the states of the prefix it shares with the read before
+    it: each distinct prefix costs one LSTM step, and only the states
+    along the current sequence are held.
+    """
     eos = receiver.vocab.eos
-    content = [i for i, t in enumerate(tokens) if t != eos]
-    if not content:
-        raise ValueError("omission_score: message has no non-EOS token")
-    p_full = target_probability(receiver, tokens, instance)
-    best = -np.inf
-    for i in content:
-        reduced = tokens[:i] + tokens[i + 1:]
-        if not reduced:
-            reduced = [eos]
-        best = max(best, p_full - target_probability(receiver, reduced, instance))
-    return best
+    jobs = []
+    for message in messages:
+        tokens = tuple(int(t) for t in message)
+        content = [i for i, t in enumerate(tokens) if t != eos]
+        if not content:
+            raise ValueError("omission_score: message has no non-EOS token")
+        jobs.append((tokens, [tokens[:i] + tokens[i + 1:] or (eos,)
+                              for i in content]))
+
+    hs = receiver.cell.hidden_size
+    path = [(ag.tensor(np.zeros((1, hs))), ag.tensor(np.zeros((1, hs))))]
+    g = {}
+    prev = ()
+    for seq in sorted({s for tokens, reduced in jobs for s in (tokens, *reduced)}):
+        shared = 0
+        while shared < min(len(prev), len(seq)) and prev[shared] == seq[shared]:
+            shared += 1
+        del path[shared + 1:]
+        for tok in seq[shared:]:
+            path.append(receiver.cell.step(receiver.embed.hard([tok]), *path[-1]))
+        g[seq] = receiver.g_map(path[-1][0]).data
+        prev = seq
+
+    out = []
+    for (tokens, reduced), cand, ti in zip(jobs, candidates, target_indices):
+        cand_t = np.asarray(cand, dtype=np.float64).T.copy()
+        p_full, *p_reduced = [float(game.image_probabilities(g[seq] @ cand_t)[0][ti])
+                              for seq in (tokens, *reduced)]
+        best = -np.inf
+        for p in p_reduced:
+            best = max(best, p_full - p)
+        out.append(best)
+    return out
 
 
 def prefix_purity(messages_with_concepts, prefix_len, attribute_index):
@@ -207,18 +246,10 @@ def evaluate(sender, receiver, world, k, seed, n_rounds=1000, n_messages=1000,
     batch = game.make_batch(world, n_omission, k, rng_o)
     o_roll = agents.generate_batch(sender, batch.target_feats, "sample", rng=rng_o)
     o_msgs = message_tuples(o_roll)
-    scores = []
-    for b in range(n_omission):
-        inst = game.GameInstance(
-            target_features=batch.target_feats[b],
-            distractor_features=np.delete(batch.cand_feats[b],
-                                          batch.target_index[b], axis=0),
-            target_index=int(batch.target_index[b]),
-            target_concept=int(batch.target_concepts[b]))
-        tokens = list(o_msgs[b])
-        if all(t == sender.vocab.eos for t in tokens):
-            continue
-        scores.append(omission_score(receiver, tokens, inst))
+    keep = [b for b, m in enumerate(o_msgs)
+            if any(t != sender.vocab.eos for t in m)]
+    scores = _omission_scores(receiver, [o_msgs[b] for b in keep],
+                              batch.cand_feats[keep], batch.target_index[keep])
     mean_omission = float(np.mean(scores)) if scores else 0.0
 
     lm_ppl = None

@@ -11,6 +11,7 @@ resume needs is the update counter itself (recorded as rng_scheme).
 from __future__ import annotations
 
 import os
+import warnings
 
 import numpy as np
 
@@ -58,7 +59,8 @@ def save_checkpoint(path, cfg, scalars, arrays):
             arr = np.asarray(arrays[name], dtype=np.float64)
             dims = " ".join(str(d) for d in arr.shape)
             f.write(f"[array {name} {dims}]\n")
-            f.write(" ".join(repr(float(x)) for x in arr.reshape(-1)) + "\n")
+            # repr of the value list is the per-value repr join, built in C
+            f.write(repr(arr.ravel().tolist())[1:-1].replace(", ", " ") + "\n")
     os.replace(tmp, path)
 
 
@@ -103,9 +105,11 @@ def _parse_array(path, header, values_line):
     if values_line is None:
         raise ValueError(f"checkpoint {path}: array {name} has no values line")
     try:
-        values = np.array([float(tok) for tok in values_line.split()],
-                          dtype=np.float64)
-    except ValueError:
+        # older NumPy only warns on text it cannot read to the end
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(values_line, dtype=np.float64, sep=" ")
+    except (ValueError, DeprecationWarning):
         raise ValueError(f"checkpoint {path}: array {name} has a malformed "
                          f"values line") from None
     if values.size != int(np.prod(shape, dtype=int)):

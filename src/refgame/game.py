@@ -45,10 +45,6 @@ class GameBatch:
     def batch_size(self):
         return self.target_feats.shape[0]
 
-    @property
-    def n_candidates(self):
-        return self.cand_feats.shape[1]
-
 
 def make_batch(world, batch_size, k, rng, concepts=None):
     """Sample instances: each has a target and K distractors whose concepts

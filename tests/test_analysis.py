@@ -8,6 +8,7 @@ import refgame.agents as agents
 import refgame.analysis as an
 import refgame.data as data
 import refgame.game as game
+import refgame.nn as nn
 import refgame.sampling as smp
 
 
@@ -212,6 +213,27 @@ def test_omission_single_token_falls_back_to_eos():
     assert got == want
 
 
+def test_omission_reads_each_prefix_once(monkeypatch):
+    # distinct tokens, no EOS: the full read takes n steps, and deleting
+    # token i re-reads only the n - 1 - i tokens after it
+    world = small_world()
+    vocab, _, receiver = make_pair(vocab_size=6, max_len=5)
+    inst = random_instance(world, np.random.default_rng(4))
+    calls = []
+    step = nn.LstmCell.step
+
+    def counted(self, x, h, c):
+        calls.append(1)
+        return step(self, x, h, c)
+
+    monkeypatch.setattr(nn.LstmCell, "step", counted)
+    tokens = [3, 0, 5, 1, 4]
+    n = len(tokens)
+    got = an.omission_score(receiver, tokens, inst)
+    assert len(calls) == n + n * (n - 1) // 2
+    assert got == brute_omission(receiver, tokens, inst)
+
+
 def test_omission_needs_content_tokens():
     world = small_world()
     vocab, _, receiver = make_pair()
@@ -290,6 +312,29 @@ def test_evaluate_returns_consistent_report():
     keys = [k for k, _ in an.report_items(rep)]
     assert "success_sample" in keys and "prefix_purity_p1_attr0" in keys
     assert "lm_perplexity" not in keys
+
+
+def test_evaluate_mean_omission_matches_brute_force():
+    world = small_world()
+    vocab, sender, receiver = make_pair()
+    n, k, seed = 30, 3, 11
+    rep = an.evaluate(sender, receiver, world, k=k, seed=seed, n_rounds=20,
+                      n_messages=20, n_omission=n)
+    rng = smp.stream(seed, smp.DOMAIN_EVAL, 5)
+    batch = game.make_batch(world, n, k, rng)
+    roll = agents.generate_batch(sender, batch.target_feats, "sample", rng=rng)
+    scores = []
+    for b, msg in enumerate(an.message_tuples(roll)):
+        if all(t == vocab.eos for t in msg):
+            continue
+        inst = game.GameInstance(
+            target_features=batch.target_feats[b],
+            distractor_features=np.delete(batch.cand_feats[b],
+                                          batch.target_index[b], axis=0),
+            target_index=int(batch.target_index[b]))
+        scores.append(brute_omission(receiver, list(msg), inst))
+    assert len(scores) > n // 2
+    assert rep.mean_omission == float(np.mean(scores))
 
 
 def test_evaluate_deterministic():

@@ -89,6 +89,22 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(arrays2[name], arr)
 
 
+def test_checkpoint_values_are_exact_text_and_bits(tmp_path):
+    cfg = micro_cfg(tmp_path)
+    path = tmp_path / "checkpoint.txt"
+    special = np.array([[-0.0, 0.0, np.nan, np.inf],
+                        [-np.inf, 5e-324, 1e16, 0.1]])
+    arrays = {"special": special, "random": np.random.default_rng(0).normal(size=7)}
+    ck.save_checkpoint(path, cfg, {}, arrays)
+    lines = read(path).splitlines()
+    for name, arr in arrays.items():
+        header = lines.index(f"[array {name} {' '.join(map(str, arr.shape))}]")
+        assert lines[header + 1] == " ".join(repr(float(x)) for x in arr.reshape(-1))
+    _, _, loaded = ck.load_checkpoint(path)
+    for name, arr in arrays.items():
+        assert np.array_equal(loaded[name].view(np.int64), arr.view(np.int64))
+
+
 def test_checkpoint_version_mismatch(tmp_path):
     path = tmp_path / "checkpoint.txt"
     path.write_text("something else\n")
