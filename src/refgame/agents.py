@@ -5,10 +5,11 @@ token sequence to a vector used to score candidate images; the language
 model assigns probabilities to token sequences for grounding.
 
 Every computation runs on (B, .) matrices (generate_batch, read_batch,
-lm_logp_rows, lm_nll_batch) with post-termination positions masked out
-of every sum; a single instance is a one-row batch.  The one
-single-message path is receiver_read, which omission scoring calls once
-per message and once per deletion.  It stays a plain one-row read
+teacher_forced_rows, masked_logp_col) with post-termination positions
+masked out of every sum; a single instance is a one-row batch.  One
+teacher-forced decoder serves the sender's captions and the language
+model alike.  The one single-message path is receiver_read, whose
+one-row steps omission scoring repeats.  It stays a plain one-row read
 because a row of a batched matrix product can differ in the last bit
 from the one-row product, which the exact-equality omission checks
 against a one-row NumPy replay would catch.
@@ -278,34 +279,26 @@ def generate_batch(sender, feats, mode, noise=None, rng=None, terminate=True):
                         noise=noise)
 
 
-def read_batch(receiver, rollout, mode="discrete"):
+def read_batch(receiver, rollout):
     """Receiver pass over a rollout: returns (B, D) interpretation vectors.
 
-    Hidden and cell states freeze once an instance's message has ended,
-    so the result equals a per-instance read of each trimmed message.
+    Reads the rollout's straight-through one-hots if it has them, else its
+    relaxed rows, else its token ids.  Hidden and cell states freeze once
+    an instance's message has ended, so the result equals a per-instance
+    read of each trimmed message.
     """
-    if mode not in ("discrete", "relaxed"):
-        raise ValueError(f"read_batch: unknown mode {mode!r}")
     b = rollout.batch_size
-    hs = receiver.cell.hidden_size
-    h = ag.tensor(np.zeros((b, hs)))
-    c = ag.tensor(np.zeros((b, hs)))
+    soft = (rollout.step_onehots if rollout.step_onehots is not None
+            else rollout.step_relaxed)
+    h, c = receiver.cell.zero_state(b)
     for t in range(rollout.n_steps):
-        x = _receiver_input(receiver, rollout, t, mode)
+        x = (receiver.embed.hard(rollout.tokens[t]) if soft is None
+             else receiver.embed.soft(soft[t]))
         h_new, c_new = receiver.cell.step(x, h, c)
         m = rollout.emitted[t].reshape(b, 1)
         h = ag.masked_carry(h_new, h, m)
         c = ag.masked_carry(c_new, c, m)
     return receiver.g_map(h)
-
-
-def _receiver_input(receiver, rollout, t, mode):
-    if mode == "relaxed":
-        if rollout.step_onehots is not None:
-            return receiver.embed.soft(rollout.step_onehots[t])
-        if rollout.step_relaxed is not None:
-            return receiver.embed.soft(rollout.step_relaxed[t])
-    return receiver.embed.hard(rollout.tokens[t])
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +309,7 @@ def receiver_read(receiver, tokens):
     """Interpret one discrete message; returns the (1, D) row g(h_last)."""
     if len(tokens) == 0:
         raise ValueError("receiver_read: empty message")
-    hs = receiver.cell.hidden_size
-    h = ag.tensor(np.zeros((1, hs)))
-    c = ag.tensor(np.zeros((1, hs)))
+    h, c = receiver.cell.zero_state(1)
     for tok in tokens:
         h, c = receiver.cell.step(receiver.embed.hard([int(tok)]), h, c)
     return receiver.g_map(h)
@@ -336,33 +327,41 @@ def _check_lm_tokens(lm, tokens):
                          f"vocabulary (0..{lm.vocab.eos})")
 
 
-def lm_logp_rows(lm, token_reps, batch_size=None):
-    """Teacher-forced log-probability rows.
+def teacher_forced_rows(model, state, token_reps):
+    """Teacher-forced log-probability rows of a Sender or LanguageModel.
 
-    token_reps: one entry per message position, each an integer id array
-    (B,) or a (B, |V|+1) row Tensor (relaxed/one-hot tokens).  Row t is
-    the model's log-distribution over position t given positions < t,
+    state: the (h, c) pair the recurrence starts from.  token_reps: one
+    entry per message position, each an integer id array (B,) or a
+    (B, |V|+1) row Tensor (relaxed or one-hot tokens).  Row t is the
+    model's log-distribution over position t given positions < t,
     starting from START.  Returns a list of (B, |V|+1) tensors.
     """
-    if not token_reps:
-        raise ValueError("lm_logp_rows: empty sequence")
-    first = token_reps[0]
-    b = batch_size or (first.shape[0] if hasattr(first, "shape") else len(first))
-    hs = lm.cell.hidden_size
-    h = ag.tensor(np.zeros((b, hs)))
-    c = ag.tensor(np.zeros((b, hs)))
-    x = lm.embed.hard([lm.vocab.start] * b)
+    if len(token_reps) == 0:
+        raise ValueError("teacher_forced_rows: empty sequence")
+    h, c = state
+    x = model.embed.hard([model.vocab.start] * h.shape[0])
     rows = []
     for t in range(len(token_reps)):
-        h, c = lm.cell.step(x, h, c)
-        rows.append(ag.log_softmax_rows(lm.proj(h)))
+        h, c = model.cell.step(x, h, c)
+        rows.append(ag.log_softmax_rows(model.proj(h)))
         if t + 1 < len(token_reps):
             rep = token_reps[t]
             if isinstance(rep, ag.Tensor):
-                x = lm.embed.soft(rep)
+                x = model.embed.soft(rep)
             else:
-                x = lm.embed.hard(np.asarray(rep, dtype=int))
+                x = model.embed.hard(np.asarray(rep, dtype=int))
     return rows
+
+
+def masked_logp_col(rows, tokens, mask):
+    """(B, 1) column of sum_t mask[t] * rows[t][b, tokens[t, b]]: each
+    sequence's log-probability over its real positions."""
+    b = tokens.shape[1]
+    total = ag.tensor(np.zeros((b, 1)))
+    for t, row in enumerate(rows):
+        picked = ag.pick_per_row(row, tokens[t])
+        total = ag.add(total, ag.mul(picked, ag.tensor(mask[t].reshape(b, 1).copy())))
+    return total
 
 
 def lm_nll_batch(lm, tokens, mask):
@@ -373,13 +372,9 @@ def lm_nll_batch(lm, tokens, mask):
     n_tokens float).  Raises ValueError on an id outside 0..EOS.
     """
     _check_lm_tokens(lm, tokens)
-    t_steps, b = tokens.shape
-    rows = lm_logp_rows(lm, [tokens[t] for t in range(t_steps)], batch_size=b)
-    total = ag.tensor(np.zeros((b, 1)))
-    for t in range(t_steps):
-        picked = ag.pick_per_row(rows[t], tokens[t])
-        total = ag.add(total, ag.mul(picked, ag.tensor(mask[t].reshape(b, 1).copy())))
-    return ag.scale(ag.sum_all(total), -1.0), float(mask.sum())
+    rows = teacher_forced_rows(lm, lm.cell.zero_state(tokens.shape[1]), tokens)
+    return (ag.scale(ag.sum_all(masked_logp_col(rows, tokens, mask)), -1.0),
+            float(mask.sum()))
 
 
 def pad_sequences(seqs, pad_id):

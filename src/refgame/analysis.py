@@ -59,14 +59,13 @@ def eval_success(sender, receiver, world, n_rounds, k, mode, rng):
     score; relaxed mode passes soft tokens straight to the receiver."""
     if mode not in EVAL_MODES:
         raise ValueError(f"eval_success: unknown mode {mode!r}")
-    read_mode = "relaxed" if mode == "relaxed" else "discrete"
     hits, done = 0, 0
     while done < n_rounds:
         b = min(EVAL_CHUNK, n_rounds - done)
         batch = game.make_batch(world, b, k, rng)
         roll = agents.generate_batch(sender, batch.target_feats, mode,
                                      rng=None if mode == "greedy" else rng)
-        g = agents.read_batch(receiver, roll, read_mode)
+        g = agents.read_batch(receiver, roll)
         scores = game.score_batch(g, batch.cand_feats)
         hits += int(game.success_mask(scores.data, batch.target_index).sum())
         done += b
@@ -154,8 +153,7 @@ def _omission_scores(receiver, messages, candidates, target_indices):
         jobs.append((tokens, [tokens[:i] + tokens[i + 1:] or (eos,)
                               for i in content]))
 
-    hs = receiver.cell.hidden_size
-    path = [(ag.tensor(np.zeros((1, hs))), ag.tensor(np.zeros((1, hs))))]
+    path = [receiver.cell.zero_state(1)]
     g = {}
     prev = ()
     for seq in sorted({s for tokens, reduced in jobs for s in (tokens, *reduced)}):

@@ -12,10 +12,9 @@ this module.  Design rules:
   node with a hand-written backward: ``lstm_cell`` (one LSTM step),
   ``masked_carry`` (freeze finished rows of a recurrent state) and
   ``batch_dot`` (score every candidate against its row's vector).
-* no silent broadcasting.  Elementwise ops require identical shapes; the
-  single documented exception is a size-1 ("scalar") operand for
-  ``add``/``sub``/``mul``.  Row-wise combinations are explicit
-  ops (``affine``, ``mul_rows``, ``repeat_cols``).
+* no broadcasting.  Elementwise ops require identical shapes, a size-1
+  operand included; row-wise combinations are explicit ops (``affine``,
+  ``mul_rows``, ``repeat_cols``).
 * float64 throughout, so finite-difference checks can run at 1e-5.
 * a gradient's first write copies, never aliases: backward rules hand the
   same array to several parents.
@@ -66,10 +65,8 @@ class Tensor:
     def accumulate(self, g):
         # The first write copies: backward closures hand the same array (or
         # a view of it) to several parents, so the grad must never alias g.
-        if self.grad is None and g.shape == self.data.shape:
+        if self.grad is None:
             self.grad = np.array(g, dtype=np.float64)
-        elif self.grad is None:
-            self.grad = np.zeros_like(self.data) + g
         else:
             self.grad += g
 
@@ -158,54 +155,48 @@ def _make_many(op_name, datas, parents, backward_fn):
     return outs
 
 
-def _is_scalar(x):
-    return x.data.size == 1
-
-
 # ---------------------------------------------------------------------------
-# elementwise ops (identical shapes, or one size-1 operand)
+# elementwise ops (identical shapes)
 
 
 def add(a, b):
-    if a.shape != b.shape and not (_is_scalar(a) or _is_scalar(b)):
+    if a.shape != b.shape:
         raise _shape_err("add", a.shape, b.shape)
     out_data = a.data + b.data
 
     def bwd(g):
         if a.requires_grad:
-            a.accumulate(g.sum().reshape(a.shape) if _is_scalar(a) and g.shape != a.shape else g)
+            a.accumulate(g)
         if b.requires_grad:
-            b.accumulate(g.sum().reshape(b.shape) if _is_scalar(b) and g.shape != b.shape else g)
+            b.accumulate(g)
 
     return _make("add", out_data, (a, b), bwd)
 
 
 def sub(a, b):
-    if a.shape != b.shape and not (_is_scalar(a) or _is_scalar(b)):
+    if a.shape != b.shape:
         raise _shape_err("sub", a.shape, b.shape)
     out_data = a.data - b.data
 
     def bwd(g):
         if a.requires_grad:
-            a.accumulate(g.sum().reshape(a.shape) if _is_scalar(a) and g.shape != a.shape else g)
+            a.accumulate(g)
         if b.requires_grad:
-            b.accumulate(-g.sum().reshape(b.shape) if _is_scalar(b) and g.shape != b.shape else -g)
+            b.accumulate(-g)
 
     return _make("sub", out_data, (a, b), bwd)
 
 
 def mul(a, b):
-    if a.shape != b.shape and not (_is_scalar(a) or _is_scalar(b)):
+    if a.shape != b.shape:
         raise _shape_err("mul", a.shape, b.shape)
     out_data = a.data * b.data
 
     def bwd(g):
         if a.requires_grad:
-            ga = g * b.data
-            a.accumulate(ga.sum().reshape(a.shape) if _is_scalar(a) and ga.shape != a.shape else ga)
+            a.accumulate(g * b.data)
         if b.requires_grad:
-            gb = g * a.data
-            b.accumulate(gb.sum().reshape(b.shape) if _is_scalar(b) and gb.shape != b.shape else gb)
+            b.accumulate(g * a.data)
 
     return _make("mul", out_data, (a, b), bwd)
 
@@ -241,16 +232,6 @@ def _sigmoid(z):
     t = np.exp(-np.abs(z))
     pos = 1.0 / (1.0 + t)
     return np.where(z >= 0, pos, t / (1.0 + t))
-
-
-def sigmoid(x):
-    out_data = _sigmoid(x.data)
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate(g * out_data * (1.0 - out_data))
-
-    return _make("sigmoid", out_data, (x,), bwd)
 
 
 def tanh(x):
@@ -386,20 +367,6 @@ def repeat_cols(col, n):
             col.accumulate(g.sum(axis=1, keepdims=True))
 
     return _make("repeat_cols", out_data, (col,), bwd)
-
-
-def slice_cols(x, start, stop):
-    if x.data.ndim != 2 or not (0 <= start < stop <= x.shape[1]):
-        raise ShapeError(f"slice_cols: [{start}:{stop}] invalid for shape {x.shape}")
-    out_data = x.data[:, start:stop].copy()
-
-    def bwd(g):
-        if x.requires_grad:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[:, start:stop] += g
-
-    return _make("slice_cols", out_data, (x,), bwd)
 
 
 def slice_rows(x, start, stop):
@@ -620,7 +587,6 @@ OPS = {
     "mul": mul,
     "scale": scale,
     "add_const": add_const,
-    "sigmoid": sigmoid,
     "tanh": tanh,
     "softplus": softplus,
     "relu_hinge": relu,
@@ -630,7 +596,6 @@ OPS = {
     "affine": affine,
     "mul_rows": mul_rows,
     "repeat_cols": repeat_cols,
-    "slice": slice_cols,
     "slice_rows": slice_rows,
     "rows": rows,
     "pick_per_row": pick_per_row,

@@ -5,8 +5,8 @@ attribute value gets a random embedding; a concept's base vector is the
 normalized sum of its attribute-value embeddings, so similarity structure
 follows shared attributes by construction.  Image instances are noisy,
 renormalized copies of base vectors.  Captions name the attribute values
-in fixed attribute order, one word per attribute, and decode uniquely
-back to the concept.
+in fixed attribute order, one word per attribute, so each caption names
+exactly one concept.
 
 Also hosts the text formats: feature files (header ``dim=<D> count=<N>``,
 then ``<id> <v_1> ... <v_D>`` per line) and caption files (one caption
@@ -39,12 +39,6 @@ class WorldSpec:
             raise ValueError("WorldSpec: feature_dim must be >= n_attributes")
         if self.instance_noise < 0:
             raise ValueError("WorldSpec: instance_noise must be >= 0")
-
-
-@dataclass
-class ImageInstance:
-    concept_id: int
-    features: np.ndarray
 
 
 @dataclass
@@ -102,15 +96,6 @@ def build_world(spec):
     return World(spec=spec, value_vecs=value_vecs, base=_normalize_rows(base))
 
 
-def sample_instance(world, concept_id, rng):
-    """Noisy unit-norm instance of a concept; exact base copy when noise is 0."""
-    base = world.base[concept_id]
-    if world.spec.instance_noise == 0:
-        return ImageInstance(concept_id=int(concept_id), features=base.copy())
-    feats = base + world.spec.instance_noise * rng.normal(size=base.shape)
-    return ImageInstance(concept_id=int(concept_id), features=_normalize_rows(feats))
-
-
 def sample_instances(world, concept_ids, rng):
     """Batched instance features: one (len(ids), D) array in id order."""
     ids = np.asarray(concept_ids, dtype=int)
@@ -137,20 +122,6 @@ def caption_for(world, concept_id, eos_id=None):
     tup = world.concept_tuple(concept_id)
     words = [caption_word(world, i, val) for i, val in enumerate(tup)]
     return CaptionRecord(concept_id=int(concept_id), caption=words + [eos])
-
-
-def decode_caption(world, tokens):
-    """Inverse of caption_for: the first A tokens name the concept."""
-    a, v = world.spec.n_attributes, world.spec.values_per_attribute
-    if len(tokens) < a:
-        raise ValueError(f"caption too short: need {a} words, got {len(tokens)}")
-    values = []
-    for i in range(a):
-        val = int(tokens[i]) - i * v
-        if not 0 <= val < v:
-            raise ValueError(f"token {tokens[i]} is not a word of attribute {i}")
-        values.append(val)
-    return world.concept_id(values)
 
 
 def split_concepts(world, fraction, seed, domain_key):

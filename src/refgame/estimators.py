@@ -1,5 +1,7 @@
 """Gradient estimation for the sender's discrete sampling step.
 
+Every estimator path plays the game through one round, play_batch
+(generate, read, score, hinge), and reports the same game_metrics.
 Three routes to a sender gradient:
 
   * reinforce_step: score-function estimator.  The surrogate
@@ -78,10 +80,6 @@ class ReinforceState:
         self.m2 = self.rho * self.m2 + (1.0 - self.rho) * float(np.mean(signal ** 2))
 
 
-def _collect(param_set):
-    return param_set.grads()
-
-
 def _grad_norm(grads):
     total = 0.0
     for g in grads.values():
@@ -89,10 +87,22 @@ def _grad_norm(grads):
     return float(np.sqrt(total))
 
 
-def _roll_metrics(roll, scores, hinge_col, batch):
+def play_batch(sender, receiver, batch, mode, noise=None, rng=None,
+               terminate=True):
+    """One round of the game on a batch: the sender's rollout in the given
+    mode, the receiver's read of it, the candidate scores and the (B, 1)
+    hinge column.  Returns (roll, scores, hinge_col)."""
+    roll = agents.generate_batch(sender, batch.target_feats, mode, noise=noise,
+                                 rng=rng, terminate=terminate)
+    scores = game.score_batch(agents.read_batch(receiver, roll), batch.cand_feats)
+    return roll, scores, game.hinge_batch(scores, batch.target_index)
+
+
+def game_metrics(roll, scores, hinge_col, batch):
+    """Mean hinge, success rate and mean message length of one round."""
     succ = game.success_mask(scores.data, batch.target_index)
     return {
-        "loss": float(hinge_col.data.mean()),
+        "hinge": float(hinge_col.data.mean()),
         "success": float(succ.mean()),
         "mean_length": float(roll.lengths.mean()),
     }
@@ -113,11 +123,8 @@ def reinforce_step(state, sender, receiver, batch, rng=None, noise=None):
         receiver_ps.zero_grads()
         if state.mlp_params is not None:
             state.mlp_params.zero_grads()
-        roll = agents.generate_batch(sender, batch.target_feats, "sample",
-                                     noise=noise, rng=rng)
-        g = agents.read_batch(receiver, roll, "discrete")
-        scores = game.score_batch(g, batch.cand_feats)
-        hinge_col = game.hinge_batch(scores, batch.target_index)
+        roll, scores, hinge_col = play_batch(sender, receiver, batch, "sample",
+                                             noise=noise, rng=rng)
         signal = hinge_col.data.reshape(-1).copy()
         if not np.all(np.isfinite(signal)):
             raise FloatingPointError("reinforce_step: non-finite learning signal")
@@ -138,10 +145,11 @@ def reinforce_step(state, sender, receiver, batch, rng=None, noise=None):
             total = ag.add(total, bl_mse)
         tp.backward(total)
 
-    sender_grads = _collect(sender_ps)
-    receiver_grads = _collect(receiver_ps)
-    metrics = _roll_metrics(roll, scores, hinge_col, batch)
-    metrics.update(signal_mean=float(signal.mean()),
+    sender_grads = sender_ps.grads()
+    receiver_grads = receiver_ps.grads()
+    metrics = game_metrics(roll, scores, hinge_col, batch)
+    metrics.update(loss=metrics["hinge"],
+                   signal_mean=float(signal.mean()),
                    signal_variance=state.variance(),
                    lr_scale=state.lr_scale(),
                    grad_norm_sender=_grad_norm(sender_grads),
@@ -163,16 +171,14 @@ def stgs_step(sender, receiver, batch, rng=None, noise=None, relaxed=False):
     with ag.tape() as tp:
         sender_ps.zero_grads()
         receiver_ps.zero_grads()
-        roll = agents.generate_batch(sender, batch.target_feats, mode,
-                                     noise=noise, rng=rng)
-        g = agents.read_batch(receiver, roll, "relaxed")
-        scores = game.score_batch(g, batch.cand_feats)
-        hinge_col = game.hinge_batch(scores, batch.target_index)
+        roll, scores, hinge_col = play_batch(sender, receiver, batch, mode,
+                                             noise=noise, rng=rng)
         tp.backward(ag.mean_all(hinge_col))
-    sender_grads = _collect(sender_ps)
-    receiver_grads = _collect(receiver_ps)
-    metrics = _roll_metrics(roll, scores, hinge_col, batch)
-    metrics.update(grad_norm_sender=_grad_norm(sender_grads),
+    sender_grads = sender_ps.grads()
+    receiver_grads = receiver_ps.grads()
+    metrics = game_metrics(roll, scores, hinge_col, batch)
+    metrics.update(loss=metrics["hinge"],
+                   grad_norm_sender=_grad_norm(sender_grads),
                    grad_norm_receiver=_grad_norm(receiver_grads))
     return sender_grads, receiver_grads, metrics
 
@@ -189,12 +195,9 @@ def batch_loss_value(sender, receiver, batch, noise, mode="straight_through",
                      terminate=True):
     """Mean hinge loss on a frozen (batch, noise) pair, evaluated without
     building a graph."""
-    roll = agents.generate_batch(sender, batch.target_feats, mode, noise=noise,
+    _, _, hinge_col = play_batch(sender, receiver, batch, mode, noise=noise,
                                  terminate=terminate)
-    read_mode = "relaxed" if mode in ("relaxed", "straight_through") else "discrete"
-    g = agents.read_batch(receiver, roll, read_mode)
-    scores = game.score_batch(g, batch.cand_feats)
-    return float(game.hinge_batch(scores, batch.target_index).data.mean())
+    return float(hinge_col.data.mean())
 
 
 def game_objective(sender, receiver, params, batch, noise,
@@ -218,12 +221,9 @@ def estimator_direction(sender, receiver, params, batch, noise,
     frozen (batch, noise) pair."""
     with ag.tape() as tp:
         params.zero_grads()
-        roll = agents.generate_batch(sender, batch.target_feats, mode,
-                                     noise=noise, terminate=terminate)
-        read_mode = "relaxed" if mode in ("relaxed", "straight_through") else "discrete"
-        g = agents.read_batch(receiver, roll, read_mode)
-        scores = game.score_batch(g, batch.cand_feats)
-        tp.backward(ag.mean_all(game.hinge_batch(scores, batch.target_index)))
+        _, _, hinge_col = play_batch(sender, receiver, batch, mode, noise=noise,
+                                     terminate=terminate)
+        tp.backward(ag.mean_all(hinge_col))
     return params.flatten_dict(params.grads())
 
 

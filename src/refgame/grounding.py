@@ -3,13 +3,16 @@
 Two mechanisms share this module.  Indirect grounding adds a KL penalty
 pulling the sender's message distribution toward a separately trained
 language model: the per-instance estimate is sum_i [log q(w_i | .) -
-log p_lm(w_i | .)] over one straight-through message, so the penalty is
-differentiable both through the explicit log q terms and through the
-one-hot token path into the frozen language model.  Direct grounding
-co-trains the sender on captioning, minimizing L_caption + lambda *
-L_game with a teacher-forced caption term and a straight-through game
-term.  Caption words live in the agents' protocol vocabulary so both
-mechanisms can align symbol meanings.
+log p_lm(w_i | .)] over one sampled message.  On a straight-through
+message the penalty is differentiable both through the explicit log q
+terms and through the one-hot token path into the frozen language model;
+on any other message only through log q.  Direct grounding co-trains the
+sender on captioning, minimizing L_caption + lambda * L_game with a
+teacher-forced caption term and a straight-through game term.  Both
+play the game through estimators.play_batch, and the language model and
+the caption term share agents.teacher_forced_rows.  Caption words live
+in the agents' protocol vocabulary so both mechanisms can align symbol
+meanings.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from . import agents
 from . import autograd as ag
 from . import data
-from . import game
+from . import estimators as est
 
 
 def _check_lm_vocab(sender, lm):
@@ -36,82 +39,53 @@ def kl_penalty_col(sender, lm, roll):
     """Per-instance KL estimates as a (B, 1) column.
 
     Each row is sum_t mask_t * [log q(w_t) - log p_lm(w_t)] at the emitted
-    token (EOS position included).  Needs a straight-through rollout: the
-    one-hot tokens select the per-step terms and carry the relaxation's
-    gradient into the language-model conditioning path.
+    token (EOS position included), the per-step terms selected by one-hot
+    rows of the tokens.  A straight-through rollout supplies its own
+    one-hots, which carry the relaxation's gradient into the
+    language-model conditioning path.  Any other rollout gets constant
+    one-hots, so the sender's gradient comes through log q alone.
     """
-    if roll.step_onehots is None:
-        raise ValueError("kl_penalty_col: rollout has no one-hot tokens; "
-                         "generate with straight_through mode")
     _check_lm_vocab(sender, lm)
-    lm_rows = agents.lm_logp_rows(lm, roll.step_onehots,
-                                  batch_size=roll.batch_size)
+    onehots = roll.step_onehots
+    if onehots is None:
+        eye = np.eye(sender.vocab.n_outcomes)
+        onehots = [ag.tensor(eye[roll.tokens[t]]) for t in range(roll.n_steps)]
+    lm_rows = agents.teacher_forced_rows(lm, lm.cell.zero_state(roll.batch_size),
+                                         onehots)
     total = ag.tensor(np.zeros((roll.batch_size, 1)))
     for t in range(roll.n_steps):
         diff = ag.sub(roll.step_logp_rows[t], lm_rows[t])
-        term = ag.sum_rows(ag.mul(roll.step_onehots[t], diff))
+        term = ag.sum_rows(ag.mul(onehots[t], diff))
         total = ag.add(total, ag.mul(term, roll.mask_col(t)))
     return total
-
-
-def _kl_hard_col(sender, lm, roll):
-    """KL column from hard token ids, for rollouts without a relaxation;
-    gradient reaches the sender only through the explicit log q terms."""
-    _check_lm_vocab(sender, lm)
-    lm_rows = agents.lm_logp_rows(lm, [roll.tokens[t] for t in range(roll.n_steps)],
-                                  batch_size=roll.batch_size)
-    total = ag.tensor(np.zeros((roll.batch_size, 1)))
-    for t in range(roll.n_steps):
-        term = ag.sub(ag.pick_per_row(roll.step_logp_rows[t], roll.tokens[t]),
-                      ag.pick_per_row(lm_rows[t], roll.tokens[t]))
-        total = ag.add(total, ag.mul(term, roll.mask_col(t)))
-    return total
-
-
-def _grounded_graph(sender, receiver, lm, batch, beta, mode, rng, noise):
-    beta = float(beta)
-    if not np.isfinite(beta) or beta < 0:
-        raise ValueError(f"grounded game loss: beta must be finite and "
-                         f"non-negative, got {beta}")
-    roll = agents.generate_batch(sender, batch.target_feats, mode,
-                                 noise=noise, rng=rng)
-    read_mode = "relaxed" if mode in ("relaxed", "straight_through") else "discrete"
-    g = agents.read_batch(receiver, roll, read_mode)
-    scores = game.score_batch(g, batch.cand_feats)
-    hinge_col = game.hinge_batch(scores, batch.target_index)
-    kl_col = None
-    if beta != 0.0:
-        kl_col = (kl_penalty_col(sender, lm, roll)
-                  if roll.step_onehots is not None
-                  else _kl_hard_col(sender, lm, roll))
-        loss = ag.mean_all(ag.add(hinge_col, ag.scale(kl_col, beta)))
-    else:
-        # beta = 0 must build exactly the plain game graph, so zero-weight
-        # grounding reproduces ungrounded training bit for bit
-        loss = ag.mean_all(hinge_col)
-    return loss, roll, scores, hinge_col, kl_col
 
 
 def grounded_step(sender, receiver, lm, batch, beta,
                   mode="straight_through", rng=None, noise=None):
     """One grounded update's gradients and metrics; the language model is
     read but never trained here (freeze it beforehand)."""
+    beta = float(beta)
+    if not np.isfinite(beta) or beta < 0:
+        raise ValueError(f"grounded game loss: beta must be finite and "
+                         f"non-negative, got {beta}")
     sender_ps = sender.param_set()
     receiver_ps = receiver.param_set()
     with ag.tape() as tp:
         sender_ps.zero_grads()
         receiver_ps.zero_grads()
-        loss, roll, scores, hinge_col, kl_col = _grounded_graph(
-            sender, receiver, lm, batch, beta, mode, rng, noise)
+        roll, scores, hinge_col = est.play_batch(sender, receiver, batch, mode,
+                                                 noise=noise, rng=rng)
+        if beta != 0.0:
+            kl_col = kl_penalty_col(sender, lm, roll)
+            loss = ag.mean_all(ag.add(hinge_col, ag.scale(kl_col, beta)))
+        else:
+            # beta = 0 must build exactly the plain game graph, so zero-weight
+            # grounding reproduces ungrounded training bit for bit
+            loss = ag.mean_all(hinge_col)
         tp.backward(loss)
-    succ = game.success_mask(scores.data, batch.target_index)
-    metrics = {
-        "loss": loss.item(),
-        "hinge": float(hinge_col.data.mean()),
-        "success": float(succ.mean()),
-        "mean_length": float(roll.lengths.mean()),
-    }
-    if kl_col is not None:
+    metrics = est.game_metrics(roll, scores, hinge_col, batch)
+    metrics["loss"] = loss.item()
+    if beta != 0.0:
         metrics["kl"] = float(kl_col.data.mean())
     return sender_ps.grads(), receiver_ps.grads(), metrics
 
@@ -173,21 +147,10 @@ def caption_nll_batch(sender, feats, tokens, mask):
         raise ValueError(f"caption tokens outside vocabulary "
                          f"(0..{sender.vocab.eos})")
     tokens, mask = _truncate_overlong(sender.vocab, tokens, mask)
-    t_steps, b = tokens.shape
     ft = ag.tensor(np.asarray(feats, dtype=np.float64))
-    h = sender.eta_h(ft)
-    c = sender.eta_c(ft)
-    x = sender.embed.hard([sender.vocab.start] * b)
-    total = ag.tensor(np.zeros((b, 1)))
-    for t in range(t_steps):
-        h, c = sender.cell.step(x, h, c)
-        logp = ag.log_softmax_rows(sender.proj(h))
-        picked = ag.pick_per_row(logp, tokens[t])
-        total = ag.add(total, ag.mul(picked,
-                                     ag.tensor(mask[t].reshape(b, 1).copy())))
-        if t + 1 < t_steps:
-            x = sender.embed.hard(tokens[t])
-    return ag.scale(ag.mean_all(total), -1.0)
+    rows = agents.teacher_forced_rows(sender, (sender.eta_h(ft), sender.eta_c(ft)),
+                                      tokens)
+    return ag.scale(ag.mean_all(agents.masked_logp_col(rows, tokens, mask)), -1.0)
 
 
 def direct_grounding_step(sender, receiver, caption_batch, game_batch, lam,
@@ -209,22 +172,15 @@ def direct_grounding_step(sender, receiver, caption_batch, game_batch, lam,
         receiver_ps.zero_grads()
         cap = caption_nll_batch(sender, caption_batch.features,
                                 caption_batch.tokens, caption_batch.mask)
-        metrics = {"caption_nll": None}
         if lam > 0:
-            roll = agents.generate_batch(sender, game_batch.target_feats,
-                                         "straight_through", noise=noise, rng=rng)
-            g = agents.read_batch(receiver, roll, "relaxed")
-            scores = game.score_batch(g, game_batch.cand_feats)
-            hinge_col = game.hinge_batch(scores, game_batch.target_index)
+            roll, scores, hinge_col = est.play_batch(
+                sender, receiver, game_batch, "straight_through", noise=noise,
+                rng=rng)
             total = ag.add(cap, ag.scale(ag.mean_all(hinge_col), lam))
         else:
             total = cap
         tp.backward(total)
-    metrics["caption_nll"] = cap.item()
-    metrics["loss"] = total.item()
+    metrics = {"caption_nll": cap.item(), "loss": total.item()}
     if lam > 0:
-        succ = game.success_mask(scores.data, game_batch.target_index)
-        metrics.update(hinge=float(hinge_col.data.mean()),
-                       success=float(succ.mean()),
-                       mean_length=float(roll.lengths.mean()))
+        metrics.update(est.game_metrics(roll, scores, hinge_col, game_batch))
     return sender_ps.grads(), receiver_ps.grads(), metrics

@@ -69,6 +69,11 @@ class LstmCell:
         b[hidden_size:2 * hidden_size] = 1.0
         return cls(w_x, w_h, b)
 
+    def zero_state(self, b):
+        """All-zero (h, c) for a batch of b rows."""
+        return (ag.tensor(np.zeros((b, self.hidden_size))),
+                ag.tensor(np.zeros((b, self.hidden_size))))
+
     def step(self, x, h, c):
         """One recurrence step on (B, ·) matrices; returns (h_new, c_new)."""
         return ag.lstm_cell(x, h, c, self.w_x, self.w_h, self.b)

@@ -454,6 +454,9 @@ def run_ground_train(cfg, resume=False):
     (indirect) or captioning co-training (direct)."""
     if cfg.grounding == "indirect" and cfg.estimator == "reinforce":
         raise ValueError("indirect grounding needs estimator gs or st-gs")
+    if cfg.grounding == "direct" and cfg.estimator != "st-gs":
+        raise ValueError(f"direct grounding trains the game with st-gs, "
+                         f"got estimator {cfg.estimator!r}")
     os.makedirs(cfg.out, exist_ok=True)
     ckpt_path = os.path.join(cfg.out, "checkpoint.txt")
     run = restore_run(cfg, ckpt_path) if resume else init_run(cfg)

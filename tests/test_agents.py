@@ -199,16 +199,23 @@ def one_hot_steps(vocab, roll):
 
 def test_receiver_relaxed_one_hots_equal_discrete():
     """Exact one-hot relaxed steps must reproduce the hard-embedding
-    read bitwise."""
+    read bitwise, and a rollout carrying both relaxed rows and
+    straight-through one-hots is read through the one-hots."""
     r = make_receiver(seed=5)
     eos = r.vocab.eos
     roll = rollout_of(r.vocab, [[1, 0, eos], [2, eos], [0]])
-    hard = agents.read_batch(r, roll, "discrete")
+    hard = agents.read_batch(r, roll)
     roll.step_relaxed = one_hot_steps(r.vocab, roll)
-    soft = agents.read_batch(r, roll, "relaxed")
+    soft = agents.read_batch(r, roll)
     assert np.array_equal(hard.data, soft.data)
     roll.step_onehots = roll.step_relaxed
-    assert np.array_equal(hard.data, agents.read_batch(r, roll, "relaxed").data)
+    assert np.array_equal(hard.data, agents.read_batch(r, roll).data)
+
+    flat = np.full((roll.batch_size, r.vocab.n_outcomes), 1.0 / r.vocab.n_outcomes)
+    roll.step_relaxed = [ag.tensor(flat)] * roll.n_steps
+    assert np.array_equal(hard.data, agents.read_batch(r, roll).data)
+    roll.step_onehots = None
+    assert not np.array_equal(hard.data, agents.read_batch(r, roll).data)
 
 
 def test_read_batch_rows_match_single_reads():

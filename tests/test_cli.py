@@ -397,6 +397,22 @@ def test_cli_bad_config_value_is_a_usage_error(tmp_path, capsys):
     assert "lr" in capsys.readouterr().err
 
 
+def test_cli_direct_grounding_rejects_other_estimators(tmp_path, capsys):
+    """Direct grounding trains its game term with st-gs only; any other
+    estimator fails before a file is written."""
+    _, path = write_cli_config(tmp_path)
+    for estimator in ("reinforce", "gs"):
+        out = tmp_path / f"direct-{estimator}"
+        code = cli.main(["ground-train", "--config", path, "--grounding",
+                         "direct", "--caption-weight", "1.0", "--estimator",
+                         estimator, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("refgame: ")
+        assert "st-gs" in err[0] and estimator in err[0]
+        assert not out.exists()
+
+
 def test_cli_flags_override_config_file(tmp_path, capsys):
     cfg, path = write_cli_config(tmp_path, max_updates=10)
     other = str(tmp_path / "other")

@@ -52,8 +52,8 @@ def test_spec_validation():
 
 def test_zero_noise_instance_is_base():
     w = data.build_world(data.WorldSpec(instance_noise=0.0))
-    inst = data.sample_instance(w, 5, smp.stream(0, smp.DOMAIN_EVAL))
-    assert np.array_equal(inst.features, w.base[5])
+    feats = data.sample_instances(w, [5], smp.stream(0, smp.DOMAIN_EVAL))
+    assert np.array_equal(feats[0], w.base[5])
 
 
 def test_instance_mean_near_base():
@@ -67,10 +67,10 @@ def test_instance_mean_near_base():
 
 def test_instances_unit_norm_and_distinct():
     w = data.build_world(DESK)
-    a = data.sample_instance(w, 0, smp.stream(0, smp.DOMAIN_EVAL, 0))
-    b = data.sample_instance(w, 0, smp.stream(0, smp.DOMAIN_EVAL, 1))
-    assert abs(np.linalg.norm(a.features) - 1.0) < 1e-12
-    assert not np.array_equal(a.features, b.features)
+    a = data.sample_instances(w, [0], smp.stream(0, smp.DOMAIN_EVAL, 0))[0]
+    b = data.sample_instances(w, [0], smp.stream(0, smp.DOMAIN_EVAL, 1))[0]
+    assert abs(np.linalg.norm(a) - 1.0) < 1e-12
+    assert not np.array_equal(a, b)
 
 
 def test_concept_bijection_exhaustive():
@@ -96,21 +96,18 @@ def test_caption_structure():
 
 
 def test_captions_distinct_and_decodable():
+    """Word i of a caption is attribute i's block offset plus its value,
+    so the concept tuple reads straight back off the caption."""
     w = data.build_world(DESK)
+    v = w.spec.values_per_attribute
     seen = set()
     for cid in range(w.n_concepts):
         rec = data.caption_for(w, cid)
         seen.add(tuple(rec.caption))
-        assert data.decode_caption(w, rec.caption) == cid
+        words = rec.caption[:w.spec.n_attributes]
+        assert tuple(t - i * v for i, t in enumerate(words)) == w.concept_tuple(cid)
+        assert all(0 <= t - i * v < v for i, t in enumerate(words))
     assert len(seen) == w.n_concepts
-
-
-def test_decode_rejects_foreign_tokens():
-    w = data.build_world(DESK)
-    with pytest.raises(ValueError):
-        data.decode_caption(w, [0])
-    with pytest.raises(ValueError):
-        data.decode_caption(w, [4, 4, 8])  # 4 is not an attribute-0 word
 
 
 def test_split_concepts():

@@ -215,7 +215,7 @@ def message_logp_graph(sender, feats, tokens):
     for tok in tokens:
         h, c = sender.cell.step(inp, h, c)
         logq = ag.log_softmax_rows(sender.proj(h))
-        term = ag.slice_cols(logq, int(tok), int(tok) + 1)
+        term = ag.pick_per_row(logq, [int(tok)])
         total = term if total is None else ag.add(total, term)
         inp = sender.embed.hard([int(tok)])
     return ag.sum_all(total)

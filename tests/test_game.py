@@ -173,7 +173,7 @@ def test_play_round_chance_level_untrained():
     wins = 0
     batch = game.make_batch(world, n, 3, rng)
     roll = agents.generate_batch(s, batch.target_feats, "sample", rng=rng)
-    g = agents.read_batch(r, roll, "discrete")
+    g = agents.read_batch(r, roll)
     scores = game.score_batch(g, batch.cand_feats)
     wins = game.success_mask(scores.data, batch.target_index).sum()
     p = 0.25
@@ -201,12 +201,12 @@ def test_play_round_outcome_fields():
     s, r = make_agents(13)
     inst = game.GameInstance(target_features=batchless_target(world),
                              distractor_features=np.stack(
-                                 [data.sample_instance(world, c, np.random.default_rng(c)).features
+                                 [data.sample_instances(world, [c], np.random.default_rng(c))[0]
                                   for c in (1, 2, 3)]),
                              target_index=2)
     roll = agents.generate_batch(s, inst.target_features.reshape(1, -1),
                                  "sample", rng=np.random.default_rng(0))
-    g = agents.read_batch(r, roll, "discrete")
+    g = agents.read_batch(r, roll)
     scores = game.score_batch(g, inst.candidates[np.newaxis])
     loss = game.hinge_batch(scores, [inst.target_index]).item()
     probs = game.image_probabilities(scores.data)
@@ -218,7 +218,7 @@ def test_play_round_outcome_fields():
 
 
 def batchless_target(world):
-    return data.sample_instance(world, 0, np.random.default_rng(9)).features
+    return data.sample_instances(world, [0], np.random.default_rng(9))[0]
 
 
 def test_play_round_expected_loss_matches_enumeration():
@@ -231,8 +231,8 @@ def test_play_round_expected_loss_matches_enumeration():
                                             instance_noise=0.05, seed=1))
     s, r = make_agents(17, vocab_size=3, max_len=2)
     rng = np.random.default_rng(23)
-    target = data.sample_instance(world, 0, rng).features
-    distractor = data.sample_instance(world, 1, rng).features
+    target = data.sample_instances(world, [0], rng)[0]
+    distractor = data.sample_instances(world, [1], rng)[0]
     inst = game.GameInstance(target_features=target,
                              distractor_features=distractor[np.newaxis],
                              target_index=0)
@@ -249,7 +249,7 @@ def test_play_round_expected_loss_matches_enumeration():
     tiled = np.tile(target, (n, 1))
     roll = agents.generate_batch(s, tiled, "sample",
                                  rng=smp.stream(6, smp.DOMAIN_GUMBEL, 0))
-    g = agents.read_batch(r, roll, "discrete")
+    g = agents.read_batch(r, roll)
     cand = np.tile(inst.candidates[np.newaxis], (n, 1, 1))
     scores = game.score_batch(g, cand)
     hinge = game.hinge_batch(scores, np.zeros(n, dtype=int))

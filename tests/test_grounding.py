@@ -103,6 +103,49 @@ def test_kl_sample_matches_enumerated_divergence():
     assert abs(estimate - exact_kl) < 2.0 * se
 
 
+def test_kl_column_without_onehots_matches_per_step_pick():
+    """On relaxed and sampled rollouts the KL column equals, value for value,
+    sum_t mask_t * (log q[w_t] - log p_lm[w_t]) picked per row in NumPy
+    from the language model read on the hard token ids, and the sender's
+    gradient equals that of the same picks built as a graph."""
+    vocab, sender, _ = make_pair(seed=3)
+    lm = make_lm(vocab)
+    feats = np.random.default_rng(8).standard_normal((6, 6))
+    noise = noise_for(vocab, 6, seed=12)
+    params = sender.param_set()
+    for mode in ("relaxed", "sample"):
+        with ag.tape() as tp:
+            params.zero_grads()
+            roll = agents.generate_batch(sender, feats, mode, noise=noise)
+            col = gr.kl_penalty_col(sender, lm, roll)
+            tp.backward(ag.sum_all(col))
+        got_grads = params.grads()
+        assert roll.step_onehots is None
+
+        b = roll.batch_size
+        idx = np.arange(b)
+        lm_rows = agents.teacher_forced_rows(lm, lm.cell.zero_state(b), roll.tokens)
+        want = np.zeros((b, 1))
+        for t in range(roll.n_steps):
+            tok = roll.tokens[t]
+            term = (roll.step_logp_rows[t].data[idx, tok].reshape(b, 1)
+                    - lm_rows[t].data[idx, tok].reshape(b, 1))
+            want = want + term * roll.emitted[t].reshape(b, 1)
+        assert np.array_equal(col.data, want), mode
+
+        with ag.tape() as tp:
+            params.zero_grads()
+            roll = agents.generate_batch(sender, feats, mode, noise=noise)
+            total = ag.tensor(np.zeros((b, 1)))
+            for t in range(roll.n_steps):
+                term = ag.sub(ag.pick_per_row(roll.step_logp_rows[t], roll.tokens[t]),
+                              ag.pick_per_row(lm_rows[t], roll.tokens[t]))
+                total = ag.add(total, ag.mul(term, roll.mask_col(t)))
+            tp.backward(ag.sum_all(total))
+        for name, g in params.grads().items():
+            assert np.array_equal(got_grads[name], g), (mode, name)
+
+
 def test_beta_zero_builds_the_plain_game_graph():
     world = small_world()
     vocab, sender, receiver = make_pair()
